@@ -17,8 +17,9 @@ per-piece dependency keys:
   other class's key, and therefore its cached artifacts, untouched.
 * :func:`shared_dependency_key` — the runtime support files (types
   header, C kernel, VHDL runtime package), functions of the model alone.
-* :func:`manifest_dependency_key` — the lowered manifest + signal flows,
-  the expensive parse/analyze/lower product that every retarget reuses.
+* :func:`manifest_dependency_key` — the lowered manifest, the expensive
+  parse/analyze/lower product that every retarget reuses; it carries the
+  signal flows the partition is split from.
 
 Mapping-rule predicates are code and cannot be hashed by value; a rule's
 identity is its ordered ``(name, target)`` pair, and any change to a
@@ -38,7 +39,7 @@ from repro.xuml.serialize import model_to_dict
 
 #: Bump whenever an emitter's output or a rule predicate's meaning
 #: changes — it invalidates every cached artifact at once.
-GENERATOR_VERSION = "e12.1"
+GENERATOR_VERSION = "e12.2"
 
 
 def canonical_json(data) -> str:
@@ -145,7 +146,7 @@ def shared_dependency_key(
 
 
 def manifest_dependency_key(model_fp: str, component_name: str) -> str:
-    """Cache key for the lowered manifest + signal flows of a component."""
+    """Cache key for the lowered manifest of a component."""
     return digest("manifest", model_fp, component_name, GENERATOR_VERSION)
 
 

@@ -2,13 +2,16 @@
 
 The paper's §4 claim is that "changing the partition is a matter of
 changing the placement of the marks"; this module makes that claim a
-*cached* operation.  :class:`IncrementalCompiler` runs the exact same
-emission functions as :class:`~repro.mda.compiler.ModelCompiler`, but
-keys every piece by its dependency fingerprint and files the output in
-an :class:`~repro.build.store.ArtifactStore`:
+*cached* operation.  :class:`IncrementalCompiler` is a
+:class:`~repro.mda.compiler.ModelCompiler` that overrides only where the
+manifest comes from and the two per-piece emission hooks of
+:meth:`~repro.mda.compiler.ModelCompiler.assemble`, keying every piece
+by its dependency fingerprint and filing the output in an
+:class:`~repro.build.store.ArtifactStore`:
 
-* the lowered manifest + signal flows (the expensive parse/analyze/lower
-  product) depend only on the model, so every retarget reuses them;
+* the lowered manifest (the expensive parse/analyze/lower product, which
+  carries the signal flows the partition is split from) depends only on
+  the model, so every retarget reuses it;
 * each class's artifacts depend on the model, the class's resolved
   target and the marks *on that class* — moving one mark recompiles only
   the moved class;
@@ -17,7 +20,7 @@ an :class:`~repro.build.store.ArtifactStore`:
   paper's point is precisely that both halves are re-derived on every
   change).
 
-Because cold and warm paths share one set of emission functions, a warm
+Because cold and warm builds run the one ``assemble`` pipeline, a warm
 build is byte-identical to a cold one by construction — and the tests
 and E9 bench verify it anyway.
 """
@@ -30,19 +33,9 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from repro.marks.model import MarkSet
-from repro.marks.partition import partition_from_flows, signal_flows
-from repro.mda.compiler import (
-    Build,
-    ModelCompiler,
-    classify_classes,
-    emit_c_runtime_artifacts,
-    emit_class_artifacts,
-    emit_interface_artifacts,
-    emit_types_artifacts,
-    emit_vhdl_runtime_artifacts,
-)
-from repro.mda.interfacegen import build_interface_spec
-from repro.mda.manifest import build_manifest
+from repro.marks.partition import partition_from_flows
+from repro.mda.compiler import Build, ModelCompiler
+from repro.mda.manifest import ComponentManifest, build_manifest
 from repro.mda.rules import RuleSet
 from repro.xuml.model import Model
 
@@ -56,9 +49,9 @@ from .fingerprint import (
 )
 from .store import ArtifactStore, StoreStats
 
-#: In-process manifest memo (manifest key -> (manifest, flows)); bounded
-#: so long-lived batch workers touring a large catalog stay bounded too.
-_MANIFEST_MEMO: "OrderedDict[str, tuple]" = OrderedDict()
+#: In-process manifest memo (manifest key -> manifest); bounded so
+#: long-lived batch workers touring a large catalog stay bounded too.
+_MANIFEST_MEMO: "OrderedDict[str, ComponentManifest]" = OrderedDict()
 _MEMO_LIMIT = 32
 
 
@@ -107,7 +100,7 @@ class CompileStats:
         return data
 
 
-class IncrementalCompiler:
+class IncrementalCompiler(ModelCompiler):
     """A :class:`ModelCompiler` with a content-addressed artifact cache.
 
     With ``store=None`` it still memoizes the lowered manifest in
@@ -123,10 +116,7 @@ class IncrementalCompiler:
         rules: RuleSet | None = None,
         store: ArtifactStore | None = None,
     ):
-        self._inner = ModelCompiler(model, component, rules)
-        self.model = model
-        self.component = self._inner.component
-        self.rules = self._inner.rules
+        super().__init__(model, component, rules)
         self.store = store
         self._model_fp = model_fingerprint(model)
         self._rules_fp = rules_fingerprint(self.rules)
@@ -138,115 +128,67 @@ class IncrementalCompiler:
 
     def compile(self, marks: MarkSet) -> Build:
         """The same pipeline as ``ModelCompiler.compile``, cached."""
-        name = self.component.name
-        stats = CompileStats(
-            model=self.model.name, component=name,
+        self.last_stats = stats = CompileStats(
+            model=self.model.name, component=self.component.name,
             classes_total=len(self.component.classes),
             marks_fp=marks_fingerprint(marks),
         )
         before = (self.store.stats.snapshot() if self.store is not None
                   else None)
-
-        manifest, flows = self._manifest_and_flows(stats)
-        partition = partition_from_flows(self.component, marks, flows)
-        interface = build_interface_spec(manifest, partition, marks)
-        plan = classify_classes(self.component, self.rules, marks)
-
-        artifacts: dict[str, str] = {}
-        artifacts.update(self._shared(
-            "c-types", emit_types_artifacts, manifest, stats))
-        if plan.software:
-            artifacts.update(self._shared(
-                "c-runtime", emit_c_runtime_artifacts, manifest, stats))
-            for key in plan.software:
-                artifacts.update(self._class_artifacts(
-                    manifest, key, "c", marks, stats))
-        if plan.hardware:
-            artifacts.update(self._shared(
-                "vhdl-runtime", emit_vhdl_runtime_artifacts, manifest,
-                stats))
-            for key in plan.hardware:
-                artifacts.update(self._class_artifacts(
-                    manifest, key, "vhdl", marks, stats))
-        for key in plan.systemc:
-            artifacts.update(self._class_artifacts(
-                manifest, key, "systemc", marks, stats))
-
-        # both interface halves and the marking snapshot are re-derived
-        # on every compile — the consistency-by-construction argument
-        artifacts.update(emit_interface_artifacts(interface, name))
-        artifacts["marks.mks"] = marks.dumps()
-
+        manifest = self._manifest()
+        partition = partition_from_flows(self.component, marks, manifest.flows)
+        build = self.assemble(manifest, partition, marks)
         if before is not None:
             stats.store = self.store.stats.delta(before)
-        self.last_stats = stats
-        return Build(
-            model=self.model,
-            component_name=name,
-            manifest=manifest,
-            partition=partition,
-            interface=interface,
-            rules_applied=plan.rules_applied,
-            artifacts=artifacts,
-        )
+        return build
 
     # -- cached pieces -------------------------------------------------------
 
-    def _manifest_and_flows(self, stats: CompileStats):
+    def _manifest(self) -> ComponentManifest:
         key = manifest_dependency_key(self._model_fp, self.component.name)
-        memoized = _MANIFEST_MEMO.get(key)
-        if memoized is not None:
+        manifest = _MANIFEST_MEMO.get(key)
+        if manifest is not None:
             _MANIFEST_MEMO.move_to_end(key)
-            stats.manifest_reused = True
-            return memoized
-        if self.store is not None:
-            payload = self.store.get(key)
-            if payload is not None:
-                manifest, flows = pickle.loads(payload)
-                stats.manifest_reused = True
-                self._memoize(key, (manifest, flows))
-                return manifest, flows
-        manifest = build_manifest(self.model, self.component)
-        flows = signal_flows(self.model, self.component)
-        if self.store is not None:
-            self.store.put(key, pickle.dumps((manifest, flows)))
-        self._memoize(key, (manifest, flows))
-        return manifest, flows
-
-    @staticmethod
-    def _memoize(key: str, value) -> None:
-        _MANIFEST_MEMO[key] = value
-        _MANIFEST_MEMO.move_to_end(key)
+            self.last_stats.manifest_reused = True
+            return manifest
+        payload = self.store.get(key) if self.store is not None else None
+        if payload is not None:
+            manifest = pickle.loads(payload)
+            self.last_stats.manifest_reused = True
+        else:
+            manifest = build_manifest(self.model, self.component)
+            if self.store is not None:
+                self.store.put(key, pickle.dumps(manifest))
+        _MANIFEST_MEMO[key] = manifest
         while len(_MANIFEST_MEMO) > _MEMO_LIMIT:
             _MANIFEST_MEMO.popitem(last=False)
+        return manifest
 
-    def _shared(self, kind: str, emit, manifest,
-                stats: CompileStats) -> dict[str, str]:
+    def _shared_artifacts(self, kind: str, emit,
+                          manifest: ComponentManifest) -> dict[str, str]:
         key = shared_dependency_key(self._model_fp, self.component.name,
                                     kind)
         cached = self._get_bundle(key)
         if cached is not None:
-            stats.shared_reused += 1
+            self.last_stats.shared_reused += 1
             return cached
-        bundle = emit(manifest, self.component.name)
+        bundle = super()._shared_artifacts(kind, emit, manifest)
         self._put_bundle(key, bundle)
-        stats.shared_compiled += 1
+        self.last_stats.shared_compiled += 1
         return bundle
 
-    def _class_artifacts(self, manifest, class_key: str, target: str,
-                         marks: MarkSet,
-                         stats: CompileStats) -> dict[str, str]:
+    def _class_artifacts(self, manifest: ComponentManifest, class_key: str,
+                         target: str, marks: MarkSet) -> dict[str, str]:
         key = class_dependency_key(
             self._model_fp, self._rules_fp, self.component.name,
             class_key, target, marks)
         cached = self._get_bundle(key)
         if cached is not None:
-            stats.classes_reused += 1
+            self.last_stats.classes_reused += 1
             return cached
-        bundle = emit_class_artifacts(
-            manifest, self.component.name, class_key, target, marks)
+        bundle = super()._class_artifacts(manifest, class_key, target, marks)
         self._put_bundle(key, bundle)
-        stats.classes_compiled += 1
+        self.last_stats.classes_compiled += 1
         return bundle
 
     def _get_bundle(self, key: str) -> dict[str, str] | None:

@@ -5,10 +5,15 @@ content-addressed with the *build layer's* fingerprint
 (:func:`repro.build.fingerprint.model_fingerprint`): two structurally
 identical models — e.g. a catalog model rebuilt for every verification
 case — share one lowered form, while any model edit changes the key and
-misses.  The abstract runtime hits this cache at model-load, which is
-what lets it execute IR with no per-run parse/analyze cost; the
-signal-flow analyzer hits the same cache, so analysis and execution
-read literally the same lowered bodies.
+misses.  Its readers:
+
+* the abstract runtime, at model-load, which is what lets it execute IR
+  with no per-run parse/analyze cost;
+* the signal-flow analyzer (:mod:`repro.analysis.signalflow`);
+* :func:`repro.marks.partition.signal_flows`, the partition's flows.
+
+So analysis, partitioning and execution read literally the same lowered
+bodies.
 
 Hit/miss counters are kept module-level (``repro check`` prints them)
 and mirrored into the active metrics registry when observability is on
@@ -22,6 +27,7 @@ from dataclasses import dataclass, field
 from repro.oal.analyzer import analyze_activity
 from repro.oal.parser import parse_activity
 from repro.xuml.component import Component
+from repro.xuml.klass import derived_operation
 from repro.xuml.model import Model
 
 from .ir import lower_block
@@ -85,8 +91,6 @@ def clear_lowering_cache() -> None:
 def _lower_component_uncached(
     model: Model, component: Component, fingerprint: str
 ) -> LoweredComponent:
-    from repro.xuml.klass import Operation
-
     lowered = LoweredComponent(fingerprint, component.name)
     for klass in component.classes:
         key = klass.key_letters
@@ -106,12 +110,7 @@ def _lower_component_uncached(
         for attribute in klass.attributes:
             if attribute.derived is None:
                 continue
-            pseudo = Operation(
-                f"derived_{attribute.name}",
-                f"return {attribute.derived};",
-                instance_based=True,
-                returns=attribute.dtype,
-            )
+            pseudo = derived_operation(attribute)
             block = parse_activity(pseudo.body)
             analysis = analyze_activity(
                 block, model, component, klass, None, operation=pseudo)

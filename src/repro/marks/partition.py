@@ -16,17 +16,17 @@ VHDL endpoints.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
+from typing import Iterable
 
-from repro.oal import ast
-from repro.oal.analyzer import analyze_activity
-from repro.oal.parser import parse_activity
+from repro.exec import lower_component, walk_ir_generates
 from repro.xuml.component import Component
 from repro.xuml.model import Model
 
 from .model import MarkSet
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class SignalFlow:
     """A statically discovered signal path: sender class -> receiver class."""
 
@@ -38,23 +38,32 @@ class SignalFlow:
         return f"{self.sender_class} --{self.event_label}--> {self.receiver_class}"
 
 
+def flows_from_ir(bodies: Iterable[tuple[str, list]]) -> tuple[SignalFlow, ...]:
+    """The sorted, distinct flows of ``(sender class key, lowered block)`` pairs.
+
+    Every IR ``generate`` names its resolved receiving class, so the flows
+    are read straight off the lowered bodies the executors run.
+    """
+    return tuple(sorted({
+        SignalFlow(sender, stmt[2], stmt[1])
+        for sender, block in bodies
+        for stmt, _in_loop, _conditional in walk_ir_generates(block)
+    }))
+
+
 def signal_flows(model: Model, component: Component) -> tuple[SignalFlow, ...]:
     """All (sender, receiver, event) triples found in the component's actions.
 
-    Discovered by walking every state activity's ``generate`` statements;
-    the analyzer resolves each statement's receiving class.  Environment
-    injections are not included (they have no sending class).
+    Read from every state activity and operation body in the component's
+    cached lowering.  Environment injections are not included (they have
+    no sending class).
     """
-    flows: set[SignalFlow] = set()
-    for klass in component.classes:
-        for state in klass.statemachine.states:
-            block = parse_activity(state.activity)
-            analysis = analyze_activity(block, model, component, klass, state)
-            for stmt in ast.walk_statements(block):
-                if isinstance(stmt, ast.Generate):
-                    receiver = analysis.generate_classes[id(stmt)]
-                    flows.add(SignalFlow(klass.key_letters, receiver, stmt.event_label))
-    return tuple(sorted(flows, key=lambda f: (f.sender_class, f.receiver_class, f.event_label)))
+    lowered = lower_component(model, component)
+    return flows_from_ir(
+        (class_key, block)
+        for (class_key, _name), block in chain(
+            lowered.activities.items(), lowered.operations.items())
+    )
 
 
 @dataclass
@@ -105,9 +114,9 @@ def partition_from_flows(
 ) -> Partition:
     """Derive the partition from marks and precomputed signal flows.
 
-    Flow discovery re-parses every state activity, but the flows depend
-    only on the model — not the marks — so retarget-heavy callers (the
-    incremental build cache) compute them once and re-split cheaply here.
+    The flows depend only on the model, not the marks, so the compilers
+    read them from the build manifest (``ComponentManifest.flows``) and
+    every retarget only re-splits them here.
     """
     hardware: list[str] = []
     software: list[str] = []

@@ -9,7 +9,6 @@
 * :func:`lint_c` / :func:`lint_vhdl` — structural checks on emitted text
 """
 
-from .actionir import ir_op_counts, lower_block, walk_ir_statements
 from .archrt import ArchError, TargetMachine
 from .cgen import CGenerator
 from .clint import LintFinding, lint_c
@@ -80,12 +79,9 @@ __all__ = [
     "crc8",
     "crc16_ccitt",
     "dtype_tag",
-    "ir_op_counts",
     "lint_c",
     "lint_vhdl",
-    "lower_block",
     "snake_case",
     "tag_to_dtype",
     "vhdl_ident",
-    "walk_ir_statements",
 ]

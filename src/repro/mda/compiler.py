@@ -9,16 +9,19 @@ interface was generated."
 
 :class:`ModelCompiler.compile` does exactly that pipeline:
 
-1. lower the component to its build manifest (parse + analyze + IR);
-2. derive the partition from the marks;
+1. lower the component to its build manifest (parse + analyze + IR,
+   plus the signal flows read off that IR);
+2. split the manifest's flows into a partition by the marks;
 3. resolve each class against the mapping :class:`~repro.mda.rules.RuleSet`;
 4. emit C for the software classes, VHDL for the hardware classes,
    the kernel/runtime support files, and both halves of the generated
    interface — all collected into a :class:`Build`.
 
-The emission steps are module-level pure functions of the manifest so
-that :class:`repro.build.IncrementalCompiler` can replay any subset of
-them against cached inputs and produce byte-identical artifacts.
+The emission steps are module-level pure functions of the manifest, and
+:meth:`ModelCompiler.assemble` reaches them through two per-piece hooks
+(shared bundle, class bundle); :class:`repro.build.IncrementalCompiler`
+overrides only those hooks and the manifest source, so a cached build
+runs this one pipeline and is byte-identical to a cold one.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import tempfile
 from dataclasses import dataclass, field
 
 from repro.marks.model import MarkSet
-from repro.marks.partition import Partition, derive_partition
+from repro.marks.partition import Partition, partition_from_flows
 from repro.xuml.component import Component
 from repro.xuml.model import Model
 
@@ -251,8 +254,8 @@ class ModelCompiler:
 
     def compile(self, marks: MarkSet) -> Build:
         """Run the full mapping pipeline for *marks*."""
-        manifest = build_manifest(self.model, self.component)
-        partition = derive_partition(self.model, self.component, marks)
+        manifest = self._manifest()
+        partition = partition_from_flows(self.component, marks, manifest.flows)
         return self.assemble(manifest, partition, marks)
 
     def assemble(
@@ -265,20 +268,23 @@ class ModelCompiler:
         plan = classify_classes(self.component, self.rules, marks)
 
         artifacts: dict[str, str] = {}
-        artifacts.update(emit_types_artifacts(manifest, name))
+        artifacts.update(
+            self._shared_artifacts("c-types", emit_types_artifacts, manifest))
         if plan.software:
-            artifacts.update(emit_c_runtime_artifacts(manifest, name))
+            artifacts.update(self._shared_artifacts(
+                "c-runtime", emit_c_runtime_artifacts, manifest))
             for key in plan.software:
                 artifacts.update(
-                    emit_class_artifacts(manifest, name, key, "c", marks))
+                    self._class_artifacts(manifest, key, "c", marks))
         if plan.hardware:
-            artifacts.update(emit_vhdl_runtime_artifacts(manifest, name))
+            artifacts.update(self._shared_artifacts(
+                "vhdl-runtime", emit_vhdl_runtime_artifacts, manifest))
             for key in plan.hardware:
                 artifacts.update(
-                    emit_class_artifacts(manifest, name, key, "vhdl", marks))
+                    self._class_artifacts(manifest, key, "vhdl", marks))
         for key in plan.systemc:
             artifacts.update(
-                emit_class_artifacts(manifest, name, key, "systemc", marks))
+                self._class_artifacts(manifest, key, "systemc", marks))
 
         # the generated interface: both halves from one spec, always
         artifacts.update(emit_interface_artifacts(interface, name))
@@ -295,3 +301,23 @@ class ModelCompiler:
             rules_applied=plan.rules_applied,
             artifacts=artifacts,
         )
+
+    # -- pipeline hooks (overridden by the incremental compiler) --------------
+
+    def _manifest(self) -> ComponentManifest:
+        """The component's manifest, lowered afresh."""
+        return build_manifest(self.model, self.component)
+
+    def _shared_artifacts(
+        self, kind: str, emit, manifest: ComponentManifest
+    ) -> dict[str, str]:
+        """One runtime-support bundle; *kind* names it for caching."""
+        return emit(manifest, self.component.name)
+
+    def _class_artifacts(
+        self, manifest: ComponentManifest, class_key: str, target: str,
+        marks: MarkSet,
+    ) -> dict[str, str]:
+        """One class's artifacts under its mapping *target*."""
+        return emit_class_artifacts(
+            manifest, self.component.name, class_key, target, marks)

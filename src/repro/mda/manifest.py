@@ -10,7 +10,10 @@ manifest — so the text and the simulated behaviour cannot drift apart.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
+from repro.exec import lower_block
+from repro.marks.partition import SignalFlow, flows_from_ir
 from repro.oal.analyzer import analyze_activity
 from repro.oal.parser import parse_activity
 from repro.xuml.component import Component
@@ -21,10 +24,9 @@ from repro.xuml.datatypes import (
     InstRefType,
     InstSetType,
 )
+from repro.xuml.klass import derived_operation
 from repro.xuml.model import Model
 from repro.xuml.statemachine import EventResponse
-
-from .actionir import lower_block
 
 
 def dtype_tag(dtype: DataType) -> str:
@@ -111,6 +113,8 @@ class ComponentManifest:
     associations: dict[str, tuple]
     classes: dict[str, ClassManifest]
     externals: dict[str, tuple[str, ...]]      # EE -> bridge names
+    #: every (sender, receiver, event) the activities and operations send
+    flows: tuple[SignalFlow, ...]
 
     def klass(self, key: str) -> ClassManifest:
         return self.classes[key]
@@ -118,8 +122,6 @@ class ComponentManifest:
 
 def build_manifest(model: Model, component: Component) -> ComponentManifest:
     """Lower one component to its manifest (parses + analyzes every action)."""
-    from repro.xuml.klass import Operation
-
     classes: dict[str, ClassManifest] = {}
     for klass in component.classes:
         machine = klass.statemachine
@@ -147,12 +149,7 @@ def build_manifest(model: Model, component: Component) -> ComponentManifest:
         for attribute in klass.attributes:
             if attribute.derived is None:
                 continue
-            pseudo = Operation(
-                f"derived_{attribute.name}",
-                f"return {attribute.derived};",
-                instance_based=True,
-                returns=attribute.dtype,
-            )
+            pseudo = derived_operation(attribute)
             block = parse_activity(pseudo.body)
             analysis = analyze_activity(
                 block, model, component, klass, None, operation=pseudo
@@ -222,4 +219,11 @@ def build_manifest(model: Model, component: Component) -> ComponentManifest:
             ee.key_letters: tuple(b.name for b in ee.bridges)
             for ee in component.externals
         },
+        flows=flows_from_ir(
+            (key, block)
+            for key, entry in classes.items()
+            for block in chain(
+                entry.activities.values(),
+                (op.ir for op in entry.operations.values()))
+        ),
     )

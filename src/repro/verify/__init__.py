@@ -21,7 +21,7 @@ from .conformance import (
     ConformanceReport,
     check_conformance,
 )
-from .runner import run_case, run_suite
+from .runner import run_case
 from .suitefile import (
     SuiteFileError,
     suite_from_dict,
@@ -62,7 +62,6 @@ __all__ = [
     "default_hardware_for",
     "reliability_marks",
     "run_case",
-    "run_suite",
     "standard_targets",
     "suite_for",
     "suite_from_dict",

@@ -96,16 +96,3 @@ def _run_step(step, index: int, target: Target,
                            f"expected {step.value!r}, got {actual!r}"))
     else:
         raise TypeError(f"unknown step {type(step).__name__}")
-
-
-def run_suite(cases: list[TestCase], target: Target) -> list[TestResult]:
-    """Run several cases, each on a *fresh* copy of the target platform.
-
-    The caller supplies a factory-like target; since platform engines are
-    stateful, each case re-instantiates via ``type(...)`` is not possible
-    generically, so this helper simply runs cases in sequence on the
-    given target **only when the cases are independent by construction**.
-    Prefer :func:`repro.verify.conformance.check_conformance`, which
-    rebuilds targets per case.
-    """
-    return [run_case(case, target) for case in cases]

@@ -33,6 +33,20 @@ class Operation:
     parameters: tuple = field(default_factory=tuple)  # of EventParameter
 
 
+def derived_operation(attribute: Attribute) -> Operation:
+    """A derived attribute read as the pseudo-operation ``return <expr>;``.
+
+    Checking, lowering and executing a derived attribute all go through
+    this one body, typed by the attribute.
+    """
+    return Operation(
+        f"derived_{attribute.name}",
+        f"return {attribute.derived};",
+        instance_based=True,
+        returns=attribute.dtype,
+    )
+
+
 class ModelClass:
     """One class of a component.
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 from repro.analysis.findings import Severity, Violation
 
 from .errors import WellFormednessError
+from .klass import derived_operation
 from .model import Model
 
 __all__ = ["Severity", "Violation", "check_model"]
@@ -194,35 +195,32 @@ def _check_actions(model: Model, violations: list[Violation]) -> None:
 
     for component in model.components:
         for klass in component.classes:
-            for state in klass.statemachine.states:
-                if not state.activity.strip():
+            prefix = f"{component.name}.{klass.key_letters}"
+            # (where, kind, state, operation, body) of every action body
+            bodies = [(f"{prefix}.{state.name}", "activity", state, None,
+                       state.activity)
+                      for state in klass.statemachine.states]
+            bodies += [(f"{prefix}::{operation.name}", "operation", None,
+                        operation, operation.body)
+                       for operation in klass.operations]
+            for attribute in klass.attributes:
+                if attribute.derived is not None:
+                    pseudo = derived_operation(attribute)
+                    bodies.append((f"{prefix}.{attribute.name}",
+                                   "derived attribute", None, pseudo,
+                                   pseudo.body))
+            for where, kind, state, operation, body in bodies:
+                if not body.strip():
                     continue
-                where = f"{component.name}.{klass.key_letters}.{state.name}"
                 try:
-                    block = parse_activity(state.activity)
-                    analyze_activity(block, model, component, klass, state)
+                    block = parse_activity(body)
+                    analyze_activity(block, model, component, klass, state,
+                                     operation=operation)
                 except OALSyntaxError as exc:
                     violations.append(Violation(
-                        Severity.ERROR, where, f"activity does not parse: {exc}",
+                        Severity.ERROR, where, f"{kind} does not parse: {exc}",
                     ))
                 except AnalysisError as exc:
                     violations.append(Violation(
-                        Severity.ERROR, where, f"activity is ill-typed: {exc}",
-                    ))
-            for operation in klass.operations:
-                if not operation.body.strip():
-                    continue
-                where = f"{component.name}.{klass.key_letters}::{operation.name}"
-                try:
-                    block = parse_activity(operation.body)
-                    analyze_activity(
-                        block, model, component, klass, None, operation=operation
-                    )
-                except OALSyntaxError as exc:
-                    violations.append(Violation(
-                        Severity.ERROR, where, f"operation does not parse: {exc}",
-                    ))
-                except AnalysisError as exc:
-                    violations.append(Violation(
-                        Severity.ERROR, where, f"operation is ill-typed: {exc}",
+                        Severity.ERROR, where, f"{kind} is ill-typed: {exc}",
                     ))

@@ -77,13 +77,6 @@ class TestSingleDefinitions:
         assert issubclass(ContinueSignal, Exception)
         assert ReturnSignal(5).value == 5
 
-    def test_actionir_shim_serves_the_core_lowering(self):
-        from repro.exec import ir as core_ir
-        from repro.mda import actionir
-
-        assert actionir.lower_block is core_ir.lower_block
-        assert actionir.walk_ir_statements is core_ir.walk_ir_statements
-
 
 class TestExecutorErrorsArePluggable:
     def test_custom_error_type_is_raised(self):

@@ -1,18 +1,61 @@
 """Unit tests for partition derivation and signal-flow discovery."""
 
+import pytest
+
 from repro.marks import (
     MarkSet,
+    SignalFlow,
     all_partitions,
     derive_partition,
     marks_for_partition,
     signal_flows,
 )
-from repro.models import build_packetproc_model
+from repro.mda import ModelCompiler, build_manifest
+from repro.models import CATALOG, build_model, build_packetproc_model
+from repro.verify import AbstractTarget, CoSimTarget, TestCase, run_case
+from repro.xuml import ModelBuilder
 
 
 def model_and_component():
     model = build_packetproc_model()
     return model, model.components[0]
+
+
+def operation_send_model():
+    """A's state calls its operation ``kick``, whose body signals B."""
+    builder = ModelBuilder("OpSend")
+    component = builder.component("c")
+    a = component.klass("A", "A")
+    a.attr("a_id", "unique_id")
+    a.attr("kicks", "integer", default=0)
+    a.identifier(1, "a_id")
+    a.event("A1")
+    a.operation("kick", returns="integer", body=(
+        "select any b from instances of B;\n"
+        "generate B1 to b;\n"
+        "return 1;"))
+    a.state("Idle", 1)
+    a.state("Kicked", 2, activity="self.kicks = self.kick();")
+    a.trans("Idle", "A1", "Kicked")
+    b = component.klass("B", "B")
+    b.attr("b_id", "unique_id")
+    b.identifier(1, "b_id")
+    b.event("B1")
+    b.state("Waiting", 1)
+    b.state("Poked", 2)
+    b.trans("Waiting", "B1", "Poked")
+    return builder.build()
+
+
+def kick_case():
+    return (
+        TestCase("kick")
+        .create("a", "A", a_id=1)
+        .create("b", "B", b_id=2)
+        .inject("a", "A1")
+        .run()
+        .expect_state("b", "Poked")
+    )
 
 
 class TestSignalFlows:
@@ -35,6 +78,30 @@ class TestSignalFlows:
     def test_flows_deterministic_order(self):
         model, component = model_and_component()
         assert signal_flows(model, component) == signal_flows(model, component)
+
+    @pytest.mark.parametrize("name", [entry.name for entry in CATALOG])
+    def test_manifest_and_lowering_cache_agree(self, name):
+        model = build_model(name)
+        for component in model.components:
+            assert build_manifest(model, component).flows == signal_flows(
+                model, component)
+
+
+class TestOperationSends:
+    """A signal generated inside an operation body is a flow like any other."""
+
+    @pytest.mark.parametrize("hardware", [("A",), ("B",)])
+    def test_operation_send_crosses_the_boundary(self, hardware):
+        model = operation_send_model()
+        component = model.components[0]
+        marks = marks_for_partition(component, hardware)
+        partition = derive_partition(model, component, marks)
+        assert partition.boundary_flows == (SignalFlow("A", "B", "B1"),)
+        build = ModelCompiler(model).compile(marks)
+        assert build.partition.boundary_flows == partition.boundary_flows
+        assert run_case(kick_case(), AbstractTarget(model)).passed
+        result = run_case(kick_case(), CoSimTarget(build))
+        assert result.passed, result
 
 
 class TestDerivePartition:
@@ -73,7 +140,6 @@ class TestDerivePartition:
     def test_side_of_unknown_class_raises(self):
         model, component = model_and_component()
         partition = derive_partition(model, component, MarkSet())
-        import pytest
         with pytest.raises(KeyError):
             partition.side_of("XX")
 

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.mda import c_ident, c_macro, ir_op_counts, lower_block, snake_case, vhdl_ident
-from repro.mda.actionir import walk_ir_statements
+from repro.exec import ir_op_counts, lower_block, walk_ir_statements
+from repro.mda import c_ident, c_macro, snake_case, vhdl_ident
 from repro.oal import analyze_activity, parse_activity
 from repro.xuml import CoreType, ModelBuilder
 

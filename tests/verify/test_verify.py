@@ -13,7 +13,6 @@ from repro.verify import (
     standard_targets,
     suite_for,
 )
-from repro.verify.runner import run_suite
 
 
 @pytest.fixture
@@ -85,11 +84,6 @@ class TestRunner:
             .expect_state("oven", "Cooking")
         )
         assert run_case(case, AbstractTarget(model)).passed
-
-    def test_run_suite_sequential(self, model):
-        cases = [cook_case()]
-        results = run_suite(cases, AbstractTarget(model))
-        assert all(r.passed for r in results)
 
 
 class TestTargets:

@@ -154,6 +154,28 @@ class TestActionRules:
         found = violations_of(builder)
         assert any("ill-typed" in str(v) for v in found)
 
+    def test_syntax_error_in_derived_attribute(self):
+        builder, component = base_builder()
+        klass = component.klass("Widget", "W")
+        klass.attr("n", "integer")
+        klass.attr("next", "integer", derived="1 +")
+        found = violations_of(builder)
+        assert [(v.severity, v.element) for v in found] == [
+            (Severity.ERROR, "c.W.next")]
+        assert "derived attribute does not parse" in found[0].message
+        with pytest.raises(WellFormednessError):
+            builder.build()
+
+    def test_type_error_in_derived_attribute(self):
+        builder, component = base_builder()
+        klass = component.klass("Widget", "W")
+        klass.attr("n", "integer")
+        klass.attr("twice", "integer", derived='"text"')
+        found = violations_of(builder)
+        assert [(v.severity, v.element) for v in found] == [
+            (Severity.ERROR, "c.W.twice")]
+        assert "derived attribute is ill-typed" in found[0].message
+
     def test_strict_raises_with_all_errors_listed(self):
         builder, component = base_builder()
         klass = component.klass("Widget", "W")
