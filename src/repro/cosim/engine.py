@@ -93,6 +93,10 @@ class CoSimMachine(TargetMachine):
         self.build = build
         self.config = (config or CoSimConfig()).validated()
         self.partition = build.partition
+        #: class key -> "hw"/"sw"; the partition is fixed for the machine
+        self._sides = {key: "sw" for key in self.partition.software_classes}
+        self._sides.update(
+            (key, "hw") for key in self.partition.hardware_classes)
         self.fault_plan = fault_plan
         self.fault_stats = FaultStats()
         self.bus = Bus(self.config, fault_plan, self.fault_stats)
@@ -106,6 +110,7 @@ class CoSimMachine(TargetMachine):
         # timed event structures (self.pool is unused here)
         self._heap: list[tuple[int, int, int, object]] = []
         self._heap_seq = 0
+        #: pending work only: a queue leaves when it drains
         self._queues: dict[int, InstanceQueue] = {}
         self._creation_queue: list[SignalInstance] = []
         self._cpu_free_at = 0
@@ -147,12 +152,10 @@ class CoSimMachine(TargetMachine):
     # -- sides ------------------------------------------------------------------
 
     def side_of_class(self, class_key: str) -> str:
-        return self.partition.side_of(class_key)
-
-    def _resource_free_at(self, handle: int, class_key: str) -> int:
-        if self.side_of_class(class_key) == "sw":
-            return self._cpu_free_at
-        return self._hw_free_at.get(handle, 0)
+        try:
+            return self._sides[class_key]
+        except KeyError:
+            return self.partition.side_of(class_key)   # raises KeyError
 
     # -- signal plumbing (overrides the untimed pool) ------------------------------
 
@@ -171,9 +174,8 @@ class CoSimMachine(TargetMachine):
             self._m_sent_ns[signal.sequence] = ready_ns
         sender_side = None
         if signal.sender_handle is not None:
-            sender_side = self.side_of_class(
-                self.class_of(signal.sender_handle))
-        receiver_side = self.side_of_class(signal.class_key)
+            sender_side = self._sides[self.class_of(signal.sender_handle)]
+        receiver_side = self._sides[signal.class_key]
         crosses = sender_side is not None and sender_side != receiver_side
         if not crosses:
             self._push_heap(ready_ns, "arrival", signal)
@@ -397,21 +399,26 @@ class CoSimMachine(TargetMachine):
         return dispatches
 
     def _next_event_time(self) -> int | None:
-        times = []
-        if self._heap:
-            times.append(self._heap[0][0])
+        earliest = self._heap[0][0] if self._heap else None
         bus_next = self.bus.next_ready_time()
-        if bus_next is not None:
-            times.append(bus_next)
-        for handle, queue in self._queues.items():
-            if queue:
-                class_key = self._class_of.get(handle)
-                if class_key is None:
-                    continue
-                times.append(self._resource_free_at(handle, class_key))
-        if self._creation_queue:
-            times.append(self._cpu_free_at)
-        return min(times) if times else None
+        if bus_next is not None and (earliest is None or bus_next < earliest):
+            earliest = bus_next
+        cpu_free_at = self._cpu_free_at
+        if self._creation_queue and (earliest is None
+                                     or cpu_free_at < earliest):
+            earliest = cpu_free_at
+        sides, class_of = self._sides, self._class_of
+        for handle in self._queues:
+            class_key = class_of.get(handle)
+            if class_key is None:
+                continue
+            if sides[class_key] == "sw":
+                free_at = cpu_free_at
+            else:
+                free_at = self._hw_free_at.get(handle, 0)
+            if earliest is None or free_at < earliest:
+                earliest = free_at
+        return earliest
 
     def _drain_heap(self, horizon_ns) -> bool:
         advanced = False
@@ -457,18 +464,24 @@ class CoSimMachine(TargetMachine):
             self._queues[signal.target_handle] = queue
         queue.push(signal)
 
+    def _pop(self, handle: int) -> SignalInstance:
+        """Take the head of *handle*'s queue, dropping the queue if drained."""
+        queue = self._queues[handle]
+        signal = queue.pop()
+        if not queue:
+            del self._queues[handle]
+        return signal
+
     def _start_services(self, horizon_ns) -> int:
         started = 0
         # hardware instances are independent resources: start any that can
+        sides, class_of = self._sides, self._class_of
         for handle in sorted(self._queues):
-            queue = self._queues[handle]
-            if not queue:
-                continue
-            class_key = self._class_of.get(handle)
-            if class_key is None or self.side_of_class(class_key) != "hw":
+            class_key = class_of.get(handle)
+            if class_key is None or sides[class_key] != "hw":
                 continue
             if self._hw_free_at.get(handle, 0) <= self.now:
-                self._service(handle, class_key, queue.pop())
+                self._service(handle, class_key, self._pop(handle))
                 started += 1
         # the single CPU: at most one software dispatch per pass
         if self._cpu_free_at <= self.now:
@@ -481,42 +494,42 @@ class CoSimMachine(TargetMachine):
         return started
 
     def _choose_software(self):
-        """kernel order: global self-first, then send order (plus creations)."""
-        candidates = []
-        for handle in sorted(self._queues):
-            queue = self._queues[handle]
-            if not queue:
-                continue
-            class_key = self._class_of.get(handle)
-            if class_key is None or self.side_of_class(class_key) != "sw":
+        """kernel order: global self-first, then send order (plus creations).
+
+        One min-scan over the software heads; on equal keys the lower
+        handle wins and a creation loses to any instance.
+        """
+        sides, class_of = self._sides, self._class_of
+        best_key = best_handle = None
+        for handle, queue in self._queues.items():
+            class_key = class_of.get(handle)
+            if class_key is None or sides[class_key] != "sw":
                 continue
             head = queue.peek()
-            candidates.append(((not head.is_self_directed, head.sequence),
-                               handle, queue))
+            key = (not head.is_self_directed, head.sequence)
+            if best_key is None or key < best_key or (
+                    key == best_key and handle < best_handle):
+                best_key, best_handle = key, handle
         creation = None
         for signal in self._creation_queue:
-            if self.side_of_class(signal.class_key) == "sw":
+            if sides[signal.class_key] == "sw":
                 creation = signal
                 break
-        if creation is not None:
-            candidates.append((((True, creation.sequence)), None, None))
-        if not candidates:
-            # hardware creation events are dispatched by the CPU-side
-            # configuration master too (instance banks are provisioned
-            # by software), so fall back to any creation
-            if self._creation_queue:
-                signal = self._creation_queue.pop(0)
-                return (None, signal)
-            return None
-        candidates.sort(key=lambda c: c[0])
-        _key, handle, queue = candidates[0]
-        if handle is None:
+        if creation is not None and (
+                best_key is None or (True, creation.sequence) < best_key):
             self._creation_queue.remove(creation)
             return (None, creation)
-        return (handle, queue.pop())
+        if best_key is not None:
+            return (best_handle, self._pop(best_handle))
+        # hardware creation events are dispatched by the CPU-side
+        # configuration master too (instance banks are provisioned by
+        # software), so fall back to any creation
+        if self._creation_queue:
+            return (None, self._creation_queue.pop(0))
+        return None
 
     def _service(self, handle, class_key: str, signal: SignalInstance) -> None:
-        side = self.side_of_class(class_key)
+        side = self._sides[class_key]
         ops_before = self.ops_executed
         self._emit_buffer = []
         start = self.now

@@ -15,6 +15,12 @@ is paid once per model, not once per executor.
 * :func:`lower_block` — AST → action IR (the only lowering)
 * :class:`IRExecutor` — the only action evaluator; abstract runtime,
   csim, vsim and the co-sim engine all execute through it
+* :func:`compile_block` — IR block → nested closures, compiled once on
+  the block's first run.  The closures reach host and errors through
+  the frame, so one table serves every executor: a
+  :class:`LoweredComponent` owns the abstract runtime's table (it lives
+  as long as the lowering), and each architecture machine keeps its
+  own for its manifest's blocks
 * :func:`lower_component` — fingerprint-keyed lowering cache
 * :func:`c_div` / :func:`c_mod` — C integer semantics, imported by both
   the runtime and mda layers (the dependency no longer points upward)
@@ -28,7 +34,7 @@ from .cache import (
 )
 from .controlflow import BreakSignal, ContinueSignal, ReturnSignal
 from .cvalues import as_instance_set, c_div, c_mod
-from .evaluator import CORE_NAME, Frame, IRExecutor
+from .evaluator import CORE_NAME, Frame, IRExecutor, compile_block
 from .ir import (
     ir_op_counts,
     lower_block,
@@ -48,6 +54,7 @@ __all__ = [
     "c_div",
     "c_mod",
     "clear_lowering_cache",
+    "compile_block",
     "ir_op_counts",
     "lower_block",
     "lower_component",

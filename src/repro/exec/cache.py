@@ -43,6 +43,12 @@ class LoweredComponent:
     holds, per activity, the parameter names its analysis declared
     visible — the dispatch loop uses it to project a signal's payload
     into the frame.
+
+    ``compiled`` is the evaluator's table of closure-compiled bodies
+    (:func:`repro.exec.compile_block`), filled lazily by every
+    :class:`~repro.exec.IRExecutor` handed it.  Owning it here shares
+    each compile among all simulations of the model and drops it with
+    the lowering.
     """
 
     fingerprint: str
@@ -52,6 +58,7 @@ class LoweredComponent:
         default_factory=dict)
     operations: dict[tuple[str, str], list] = field(default_factory=dict)
     derived: dict[tuple[str, str], list] = field(default_factory=dict)
+    compiled: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 #: (model fingerprint, component name) -> LoweredComponent

@@ -22,6 +22,8 @@ from repro.oal.errors import OALRuntimeError
 
 def c_div(left: int, right: int) -> int:
     """C-style integer division: truncation toward zero."""
+    if type(left) is int and type(right) is int and left >= 0 and right > 0:
+        return left // right    # floor and truncation agree here
     if right == 0:
         raise OALRuntimeError("integer division by zero")
     quotient = abs(left) // abs(right)
@@ -30,6 +32,8 @@ def c_div(left: int, right: int) -> int:
 
 def c_mod(left: int, right: int) -> int:
     """C-style remainder: sign follows the dividend."""
+    if type(left) is int and type(right) is int and left >= 0 and right > 0:
+        return left % right
     if right == 0:
         raise OALRuntimeError("integer remainder by zero")
     return left - c_div(left, right) * right

@@ -10,6 +10,23 @@ semantics exist in exactly one place — here — so "the three executors
 disagree on what an action means" is a bug that can no longer be
 written.
 
+Evaluation is closure-compiled.  :func:`compile_block` turns an IR block
+into nested Python closures once, on the block's first :meth:`run`: a
+statement or expression becomes a direct call, operators are chosen at
+compile time, and literal and variable operands are fused into the
+binary operator that reads them.  The closures are pure functions of
+the block.  Everything that belongs to one execution — host, error
+constructors, locals, the op counter — reaches them through the
+:class:`Frame`, so one compiled table serves every executor running the
+same blocks.  Tables live with the blocks they compile:
+
+* the abstract runtime's blocks belong to a cached
+  :class:`repro.exec.LoweredComponent`, which owns their table, so every
+  :class:`~repro.runtime.Simulation` of one model shares one compile and
+  the table lives exactly as long as the lowering;
+* manifest-owned blocks (csim, vsim, cosim) are compiled into a table
+  private to the executor, because one machine runs one manifest.
+
 The host is duck-typed; the surface the evaluator calls is:
 
 * population — ``create_instance(class_key)``, ``delete_instance(h)``,
@@ -28,10 +45,13 @@ The host is duck-typed; the surface the evaluator calls is:
 Failure types are the host's dialect: the abstract runtime reports
 ``OALRuntimeError``/``SelectionError``, the architecture runtime reports
 ``ArchError``.  The evaluator takes both constructors at creation time
-so the *meaning* of a failure is shared while its type stays layer-local.
+so the *meaning* of a failure is shared while its type stays layer-local;
+that includes division and remainder by zero.
 """
 
 from __future__ import annotations
+
+import operator
 
 from repro.oal.errors import OALRuntimeError
 
@@ -43,15 +63,25 @@ CORE_NAME = "repro.exec"
 
 
 class Frame:
-    """One activity/operation invocation: locals, self, params, selected."""
+    """One activity/operation invocation: locals, self, params, selected.
 
-    __slots__ = ("locals", "self_handle", "params", "selected")
+    The frame also carries what its executor lends the compiled code:
+    the host, both error constructors and the count of statements run
+    so far in this invocation (``ops``).
+    """
 
-    def __init__(self, self_handle, params):
+    __slots__ = ("locals", "self_handle", "params", "selected",
+                 "host", "error", "selection_error", "ops")
+
+    def __init__(self, executor: IRExecutor, self_handle, params):
         self.locals: dict[str, object] = {}
         self.self_handle = self_handle
         self.params = dict(params)
         self.selected = None
+        self.host = executor.host
+        self.error = executor.error
+        self.selection_error = executor.selection_error
+        self.ops = 0
 
 
 class IRExecutor:
@@ -62,314 +92,525 @@ class IRExecutor:
     :class:`Frame`, so reentrant calls (an operation invoked from an
     activity) nest safely.  ``ops_executed`` counts dynamically executed
     IR statements across all frames — the architecture cost model's raw
-    material.
+    material — and is exact whenever :meth:`run` returns or raises.
+
+    *compiled* is the table of compiled blocks, keyed by block identity.
+    Pass the table of the lowering the blocks come from to share its
+    compiles; by default the executor keeps a private one.
     """
 
-    __slots__ = ("host", "ops_executed", "_error", "_selection_error",
-                 "_stmt", "_expr")
+    __slots__ = ("host", "ops_executed", "error", "selection_error",
+                 "_compiled")
 
-    def __init__(self, host, error=OALRuntimeError, selection_error=None):
+    def __init__(self, host, error=OALRuntimeError, selection_error=None,
+                 compiled: dict | None = None):
         self.host = host
         self.ops_executed = 0
-        self._error = error
-        self._selection_error = selection_error or error
-        # Bind both dispatch tables once; evaluation then costs one dict
-        # lookup per node instead of a getattr-by-name chain per visit.
-        self._stmt = {
-            "assign_var": self._stmt_assign_var,
-            "assign_attr": self._stmt_assign_attr,
-            "create": self._stmt_create,
-            "delete": self._stmt_delete,
-            "select_extent": self._stmt_select_extent,
-            "select_related": self._stmt_select_related,
-            "relate": self._stmt_relate,
-            "unrelate": self._stmt_unrelate,
-            "generate": self._stmt_generate,
-            "if": self._stmt_if,
-            "while": self._stmt_while,
-            "foreach": self._stmt_foreach,
-            "break": self._stmt_break,
-            "continue": self._stmt_continue,
-            "return": self._stmt_return,
-            "exprstmt": self._stmt_exprstmt,
-        }
-        self._expr = {
-            "int": self._expr_literal,
-            "real": self._expr_literal,
-            "str": self._expr_literal,
-            "bool": self._expr_literal,
-            "enum": self._expr_enum,
-            "self": self._expr_self,
-            "selected": self._expr_selected,
-            "var": self._expr_var,
-            "param": self._expr_param,
-            "attr": self._expr_attr,
-            "un": self._expr_un,
-            "bin": self._expr_bin,
-            "bridge": self._expr_bridge,
-            "classop": self._expr_classop,
-            "instop": self._expr_instop,
-        }
-
-    # -- entry point ----------------------------------------------------------
+        self.error = error
+        self.selection_error = selection_error or error
+        self._compiled = {} if compiled is None else compiled
 
     def run(self, block: list, self_handle, params):
         """Execute one IR block; returns the ``return`` value, if any."""
-        frame = Frame(self_handle, params)
+        entry = self._compiled.get(id(block))
+        if entry is None:
+            # the entry holds the block, so its id cannot be reused
+            entry = self._compiled[id(block)] = (block, compile_block(block))
+        frame = Frame(self, self_handle, params)
         try:
-            self._exec_block(block, frame)
+            entry[1](frame)
         except ReturnSignal as ret:
             return ret.value
         except (BreakSignal, ContinueSignal):  # pragma: no cover - analyzer prevents
-            raise self._error("break/continue escaped its loop") from None
+            raise self.error("break/continue escaped its loop") from None
+        except _ZeroDivisor as exc:
+            raise self.error(exc.args[0]) from None
+        finally:
+            self.ops_executed += frame.ops
         return None
 
-    # -- statements ------------------------------------------------------------
 
-    def _exec_block(self, block: list, frame: Frame) -> None:
-        stmt_table = self._stmt
-        for stmt in block:
-            self.ops_executed += 1
-            try:
-                handler = stmt_table[stmt[0]]
-            except KeyError:
-                raise self._error(f"unknown IR statement {stmt[0]!r}") from None
-            handler(stmt, frame)
+class _ZeroDivisor(Exception):
+    """A zero divisor, on its way to :meth:`IRExecutor.run`.
 
-    def _stmt_assign_var(self, stmt, frame) -> None:
-        frame.locals[stmt[1]] = self._eval(stmt[2], frame)
+    The operator functions have no frame, so they cannot construct the
+    host's error; ``run`` converts this into it with the same message.
+    """
 
-    def _stmt_assign_attr(self, stmt, frame) -> None:
-        handle = self._require(self._eval(stmt[1], frame))
-        self.host.write_attribute(handle, stmt[2], self._eval(stmt[3], frame))
 
-    def _stmt_create(self, stmt, frame) -> None:
-        frame.locals[stmt[1]] = self.host.create_instance(stmt[2])
+def _divide(left, right):
+    if isinstance(left, int) and isinstance(right, int):
+        if right == 0:
+            raise _ZeroDivisor("integer division by zero")
+        return c_div(left, right)
+    if right == 0:
+        raise _ZeroDivisor("division by zero")
+    return left / right
 
-    def _stmt_delete(self, stmt, frame) -> None:
-        self.host.delete_instance(self._require(self._eval(stmt[1], frame)))
 
-    def _stmt_select_extent(self, stmt, frame) -> None:
-        handles = self.host.instances_of(stmt[3])
-        handles = self._filter(handles, stmt[4], frame)
-        if stmt[2]:
-            frame.locals[stmt[1]] = tuple(handles)
-        else:
-            frame.locals[stmt[1]] = handles[0] if handles else None
+def _remainder(left, right):
+    if right == 0:
+        raise _ZeroDivisor("integer remainder by zero")
+    return c_mod(left, right)
 
-    def _stmt_select_related(self, stmt, frame) -> None:
-        start = self._eval(stmt[3], frame)
-        current = () if start is None else (start,)
-        for class_key, number, phrase in stmt[4]:
-            gathered: set[int] = set()
-            for handle in current:
-                gathered.update(
-                    self.host.navigate(handle, number, class_key, phrase))
-            current = tuple(sorted(gathered))
-        current = self._filter(current, stmt[5], frame)
-        if stmt[2]:
-            frame.locals[stmt[1]] = tuple(current)
-        else:
-            if len(current) > 1:
-                raise self._selection_error(
-                    f"select one {stmt[1]}: navigation produced "
-                    f"{len(current)} instances")
-            frame.locals[stmt[1]] = current[0] if current else None
 
-    def _stmt_relate(self, stmt, frame) -> None:
-        self.host.relate(
-            self._require(self._eval(stmt[1], frame)),
-            self._require(self._eval(stmt[2], frame)),
-            stmt[3], stmt[4],
-        )
+_UNARY = {
+    "-": operator.neg,
+    "not": operator.not_,
+    "cardinality": lambda value: len(as_instance_set(value)),
+    "empty": lambda value: len(as_instance_set(value)) == 0,
+    "not_empty": lambda value: len(as_instance_set(value)) != 0,
+}
 
-    def _stmt_unrelate(self, stmt, frame) -> None:
-        self.host.unrelate(
-            self._require(self._eval(stmt[1], frame)),
-            self._require(self._eval(stmt[2], frame)),
-            stmt[3], stmt[4],
-        )
+_BINARY = {
+    "==": operator.eq, "!=": operator.ne,
+    "<": operator.lt, "<=": operator.le,
+    ">": operator.gt, ">=": operator.ge,
+    "+": operator.add, "-": operator.sub, "*": operator.mul,
+    "/": _divide, "%": _remainder,
+}
 
-    def _stmt_generate(self, stmt, frame) -> None:
-        params = {name: self._eval(value, frame) for name, value in stmt[3]}
-        delay = int(self._eval(stmt[5], frame)) if stmt[5] is not None else 0
-        if stmt[4] is None:
-            self.host.send_creation(stmt[2], stmt[1], params,
-                                    sender=frame.self_handle, delay=delay)
-        else:
-            target = self._require(self._eval(stmt[4], frame))
-            self.host.send_signal(target, stmt[2], stmt[1], params,
-                                  sender=frame.self_handle, delay=delay)
+_LITERALS = ("int", "real", "str", "bool")
 
-    def _stmt_if(self, stmt, frame) -> None:
-        for cond, body in stmt[1]:
-            if self._eval(cond, frame):
-                self._exec_block(body, frame)
-                return
-        if stmt[2] is not None:
-            self._exec_block(stmt[2], frame)
 
-    def _stmt_while(self, stmt, frame) -> None:
-        guard = 0
-        bound = self.host.loop_bound
-        while self._eval(stmt[1], frame):
-            guard += 1
-            if guard > bound:
-                raise self._error(
-                    f"while loop exceeded {bound} iterations")
-            try:
-                self._exec_block(stmt[2], frame)
-            except BreakSignal:
-                break
-            except ContinueSignal:
-                continue
+def _unassigned(frame: Frame, name: str):
+    return frame.error(f"variable {name!r} read before assignment")
 
-    def _stmt_foreach(self, stmt, frame) -> None:
-        for handle in self._eval(stmt[2], frame):
-            frame.locals[stmt[1]] = handle
-            try:
-                self._exec_block(stmt[3], frame)
-            except BreakSignal:
-                break
-            except ContinueSignal:
-                continue
 
-    def _stmt_break(self, stmt, frame) -> None:
-        raise BreakSignal
+def _empty_reference(frame: Frame):
+    return frame.error("empty instance reference")
 
-    def _stmt_continue(self, stmt, frame) -> None:
-        raise ContinueSignal
 
-    def _stmt_return(self, stmt, frame) -> None:
-        raise ReturnSignal(
-            self._eval(stmt[1], frame) if stmt[1] is not None else None)
+def _fails(message: str):
+    """Code for IR no lowering emits: raises the host's error when run."""
+    def fail(frame):
+        raise frame.error(message)
+    return fail
 
-    def _stmt_exprstmt(self, stmt, frame) -> None:
-        self._eval(stmt[1], frame)
 
-    def _filter(self, handles, where, frame: Frame):
-        handles = tuple(handles)
-        if where is None:
-            return handles
+# -- blocks and statements -----------------------------------------------------
+
+
+def compile_block(block: list):
+    """Compile an IR block to ``fn(frame)``; each statement counts one op."""
+    steps = tuple(_compile_stmt(stmt) for stmt in block)
+
+    def run_block(frame):
+        for step in steps:
+            frame.ops += 1
+            step(frame)
+    return run_block
+
+
+def _compile_stmt(stmt: list):
+    compiler = _STATEMENT_COMPILERS.get(stmt[0])
+    if compiler is None:
+        return _fails(f"unknown IR statement {stmt[0]!r}")
+    return compiler(stmt)
+
+
+def _compile_assign_var(stmt):
+    name = stmt[1]
+    value = _compile_expr(stmt[2])
+
+    def assign_var(frame):
+        frame.locals[name] = value(frame)
+    return assign_var
+
+
+def _compile_assign_attr(stmt):
+    target, attribute = _compile_expr(stmt[1]), stmt[2]
+    value = _compile_expr(stmt[3])
+
+    def assign_attr(frame):
+        handle = target(frame)
+        if handle is None:
+            raise _empty_reference(frame)
+        frame.host.write_attribute(handle, attribute, value(frame))
+    return assign_attr
+
+
+def _compile_create(stmt):
+    name, class_key = stmt[1], stmt[2]
+
+    def create(frame):
+        frame.locals[name] = frame.host.create_instance(class_key)
+    return create
+
+
+def _compile_delete(stmt):
+    target = _compile_expr(stmt[1])
+
+    def delete(frame):
+        handle = target(frame)
+        if handle is None:
+            raise _empty_reference(frame)
+        frame.host.delete_instance(handle)
+    return delete
+
+
+def _compile_filter(where):
+    """``fn(frame, handles) -> tuple`` keeping the handles *where* holds."""
+    if where is None:
+        return lambda frame, handles: tuple(handles)
+    condition = _compile_expr(where)
+
+    def keep(frame, handles):
         kept = []
         outer = frame.selected
         try:
-            for handle in handles:
+            for handle in tuple(handles):
                 frame.selected = handle
-                if self._eval(where, frame):
+                if condition(frame):
                     kept.append(handle)
         finally:
             frame.selected = outer
         return tuple(kept)
+    return keep
 
-    # -- expressions -------------------------------------------------------------
 
-    def _eval(self, ir: list, frame: Frame):
-        try:
-            handler = self._expr[ir[0]]
-        except KeyError:
-            raise self._error(f"unknown IR expression {ir[0]!r}") from None
-        return handler(ir, frame)
+def _compile_select_extent(stmt):
+    name, many, class_key = stmt[1], stmt[2], stmt[3]
+    keep = _compile_filter(stmt[4])
 
-    def _expr_literal(self, ir, frame):
-        return ir[1]
+    def select_extent(frame):
+        handles = keep(frame, frame.host.instances_of(class_key))
+        if many:
+            frame.locals[name] = handles
+        else:
+            frame.locals[name] = handles[0] if handles else None
+    return select_extent
 
-    def _expr_enum(self, ir, frame):
-        return ir[2]   # enumerator name — one value space on every target
 
-    def _expr_self(self, ir, frame):
-        return frame.self_handle
+def _compile_select_related(stmt):
+    name, many = stmt[1], stmt[2]
+    start = _compile_expr(stmt[3])
+    hops = tuple(tuple(hop) for hop in stmt[4])
+    keep = _compile_filter(stmt[5])
 
-    def _expr_selected(self, ir, frame):
-        return frame.selected
+    def select_related(frame):
+        first = start(frame)
+        current = () if first is None else (first,)
+        navigate = frame.host.navigate
+        for class_key, number, phrase in hops:
+            gathered: set[int] = set()
+            for handle in current:
+                gathered.update(navigate(handle, number, class_key, phrase))
+            current = tuple(sorted(gathered))
+        current = keep(frame, current)
+        if many:
+            frame.locals[name] = current
+            return
+        if len(current) > 1:
+            raise frame.selection_error(
+                f"select one {name}: navigation produced "
+                f"{len(current)} instances")
+        frame.locals[name] = current[0] if current else None
+    return select_related
 
-    def _expr_var(self, ir, frame):
-        try:
-            return frame.locals[ir[1]]
-        except KeyError:
-            raise self._error(
-                f"variable {ir[1]!r} read before assignment") from None
 
-    def _expr_param(self, ir, frame):
-        try:
-            return frame.params[ir[1]]
-        except KeyError:
-            raise self._error(
-                f"event carries no parameter {ir[1]!r}") from None
+def _compile_link(stmt, method: str):
+    left, right = _compile_expr(stmt[1]), _compile_expr(stmt[2])
+    number, phrase = stmt[3], stmt[4]
 
-    def _expr_attr(self, ir, frame):
-        handle = self._require(self._eval(ir[1], frame))
-        return self.host.read_attribute(handle, ir[2])
+    def link(frame):
+        left_handle = left(frame)
+        if left_handle is None:
+            raise _empty_reference(frame)
+        right_handle = right(frame)
+        if right_handle is None:
+            raise _empty_reference(frame)
+        getattr(frame.host, method)(left_handle, right_handle, number, phrase)
+    return link
 
-    def _expr_un(self, ir, frame):
-        op = ir[1]
-        value = self._eval(ir[2], frame)
-        if op == "-":
-            return -value
-        if op == "not":
-            return not value
-        if op == "cardinality":
-            return len(as_instance_set(value))
-        if op == "empty":
-            return len(as_instance_set(value)) == 0
-        if op == "not_empty":
-            return len(as_instance_set(value)) != 0
-        raise self._error(f"unknown unary operator {op!r}")
 
-    def _expr_bin(self, ir, frame):
-        op = ir[1]
-        if op == "and":
-            return bool(self._eval(ir[2], frame)) and bool(
-                self._eval(ir[3], frame))
-        if op == "or":
-            return bool(self._eval(ir[2], frame)) or bool(
-                self._eval(ir[3], frame))
-        left = self._eval(ir[2], frame)
-        right = self._eval(ir[3], frame)
-        if op == "==":
-            return left == right
-        if op == "!=":
-            return left != right
-        if op == "<":
-            return left < right
-        if op == "<=":
-            return left <= right
-        if op == ">":
-            return left > right
-        if op == ">=":
-            return left >= right
-        if op == "+":
-            return left + right
-        if op == "-":
-            return left - right
-        if op == "*":
-            return left * right
-        if op == "/":
-            if isinstance(left, int) and isinstance(right, int):
-                return c_div(left, right)
-            if right == 0:
-                raise self._error("division by zero")
-            return left / right
-        if op == "%":
-            return c_mod(left, right)
-        raise self._error(f"unknown binary operator {op!r}")
+def _compile_arguments(arguments):
+    """``fn(frame) -> dict`` evaluating ``[[name, expr], ...]`` in order."""
+    compiled = tuple((name, _compile_expr(value)) for name, value in arguments)
+    return lambda frame: {name: value(frame) for name, value in compiled}
 
-    def _expr_bridge(self, ir, frame):
-        kwargs = {name: self._eval(value, frame) for name, value in ir[3]}
-        return self.host.call_bridge(frame.self_handle, ir[1], ir[2], kwargs)
 
-    def _expr_classop(self, ir, frame):
-        kwargs = {name: self._eval(value, frame) for name, value in ir[3]}
-        return self.host.call_class_operation(ir[1], ir[2], kwargs)
+def _compile_generate(stmt):
+    label, class_key = stmt[1], stmt[2]
+    arguments = _compile_arguments(stmt[3])
+    target = None if stmt[4] is None else _compile_expr(stmt[4])
+    delay = None if stmt[5] is None else _compile_expr(stmt[5])
 
-    def _expr_instop(self, ir, frame):
-        target = self._require(self._eval(ir[1], frame))
-        kwargs = {name: self._eval(value, frame) for name, value in ir[3]}
-        return self.host.call_instance_operation(target, ir[2], kwargs)
-
-    # -- misc --------------------------------------------------------------------
-
-    def _require(self, handle):
+    def generate(frame):
+        params = arguments(frame)
+        wait = 0 if delay is None else int(delay(frame))
+        if target is None:
+            frame.host.send_creation(class_key, label, params,
+                                     sender=frame.self_handle, delay=wait)
+            return
+        handle = target(frame)
         if handle is None:
-            raise self._error("empty instance reference")
-        return handle
+            raise _empty_reference(frame)
+        frame.host.send_signal(handle, class_key, label, params,
+                               sender=frame.self_handle, delay=wait)
+    return generate
+
+
+def _compile_if(stmt):
+    branches = tuple((_compile_expr(cond), compile_block(body))
+                     for cond, body in stmt[1])
+    orelse = None if stmt[2] is None else compile_block(stmt[2])
+
+    def if_chain(frame):
+        for condition, body in branches:
+            if condition(frame):
+                body(frame)
+                return
+        if orelse is not None:
+            orelse(frame)
+    return if_chain
+
+
+def _compile_while(stmt):
+    condition, body = _compile_expr(stmt[1]), compile_block(stmt[2])
+
+    def while_loop(frame):
+        guard = 0
+        bound = frame.host.loop_bound
+        while condition(frame):
+            guard += 1
+            if guard > bound:
+                raise frame.error(f"while loop exceeded {bound} iterations")
+            try:
+                body(frame)
+            except BreakSignal:
+                break
+            except ContinueSignal:
+                continue
+    return while_loop
+
+
+def _compile_foreach(stmt):
+    name = stmt[1]
+    iterable, body = _compile_expr(stmt[2]), compile_block(stmt[3])
+
+    def foreach(frame):
+        for handle in iterable(frame):
+            frame.locals[name] = handle
+            try:
+                body(frame)
+            except BreakSignal:
+                break
+            except ContinueSignal:
+                continue
+    return foreach
+
+
+def _raise_break(frame):
+    raise BreakSignal
+
+
+def _raise_continue(frame):
+    raise ContinueSignal
+
+
+def _compile_return(stmt):
+    value = _constant(None) if stmt[1] is None else _compile_expr(stmt[1])
+
+    def return_value(frame):
+        raise ReturnSignal(value(frame))
+    return return_value
+
+
+_STATEMENT_COMPILERS = {
+    "assign_var": _compile_assign_var,
+    "assign_attr": _compile_assign_attr,
+    "create": _compile_create,
+    "delete": _compile_delete,
+    "select_extent": _compile_select_extent,
+    "select_related": _compile_select_related,
+    "relate": lambda stmt: _compile_link(stmt, "relate"),
+    "unrelate": lambda stmt: _compile_link(stmt, "unrelate"),
+    "generate": _compile_generate,
+    "if": _compile_if,
+    "while": _compile_while,
+    "foreach": _compile_foreach,
+    "break": lambda stmt: _raise_break,
+    "continue": lambda stmt: _raise_continue,
+    "return": _compile_return,
+    "exprstmt": lambda stmt: _compile_expr(stmt[1]),
+}
+
+
+# -- expressions ----------------------------------------------------------------
+
+
+def _compile_expr(ir: list):
+    compiler = _EXPRESSION_COMPILERS.get(ir[0])
+    if compiler is None:
+        return _fails(f"unknown IR expression {ir[0]!r}")
+    return compiler(ir)
+
+
+def _constant(value):
+    return lambda frame: value
+
+
+def _compile_var(ir):
+    name = ir[1]
+
+    def var(frame):
+        try:
+            return frame.locals[name]
+        except KeyError:
+            raise _unassigned(frame, name) from None
+    return var
+
+
+def _compile_param(ir):
+    name = ir[1]
+
+    def param(frame):
+        try:
+            return frame.params[name]
+        except KeyError:
+            raise frame.error(
+                f"event carries no parameter {name!r}") from None
+    return param
+
+
+def _compile_attr(ir):
+    attribute = ir[2]
+    if ir[1][0] == "self":
+        def self_attr(frame):
+            handle = frame.self_handle
+            if handle is None:
+                raise _empty_reference(frame)
+            return frame.host.read_attribute(handle, attribute)
+        return self_attr
+    target = _compile_expr(ir[1])
+
+    def attr(frame):
+        handle = target(frame)
+        if handle is None:
+            raise _empty_reference(frame)
+        return frame.host.read_attribute(handle, attribute)
+    return attr
+
+
+def _compile_un(ir):
+    op = _UNARY.get(ir[1])
+    if op is None:
+        return _fails(f"unknown unary operator {ir[1]!r}")
+    operand = _compile_expr(ir[2])
+    return lambda frame: op(operand(frame))
+
+
+def _compile_bin(ir):
+    op_name = ir[1]
+    if op_name in ("and", "or"):
+        left, right = _compile_expr(ir[2]), _compile_expr(ir[3])
+        if op_name == "and":
+            return lambda frame: bool(left(frame)) and bool(right(frame))
+        return lambda frame: bool(left(frame)) or bool(right(frame))
+    op = _BINARY.get(op_name)
+    if op is None:
+        return _fails(f"unknown binary operator {op_name!r}")
+    left_tag, right_tag = ir[2][0], ir[3][0]
+    if left_tag == "var":
+        return _fuse_var_left(op, ir[2][1], ir[3])
+    if right_tag in _LITERALS:
+        left, constant = _compile_expr(ir[2]), ir[3][1]
+        return lambda frame: op(left(frame), constant)
+    if right_tag == "var":
+        return _fuse_var_right(op, _compile_expr(ir[2]), ir[3][1])
+    left, right = _compile_expr(ir[2]), _compile_expr(ir[3])
+    return lambda frame: op(left(frame), right(frame))
+
+
+def _fuse_var_left(op, name: str, right_ir: list):
+    """``var <op> x``: the variable read is inlined; x is fused if a leaf."""
+    if right_ir[0] in _LITERALS:
+        constant = right_ir[1]
+
+        def var_constant(frame):
+            try:
+                left = frame.locals[name]
+            except KeyError:
+                raise _unassigned(frame, name) from None
+            return op(left, constant)
+        return var_constant
+    if right_ir[0] == "var":
+        right_name = right_ir[1]
+
+        def var_var(frame):
+            local = frame.locals
+            try:
+                left = local[name]
+                right = local[right_name]
+            except KeyError as missing:
+                raise _unassigned(frame, missing.args[0]) from None
+            return op(left, right)
+        return var_var
+    right = _compile_expr(right_ir)
+
+    def var_expr(frame):
+        try:
+            left = frame.locals[name]
+        except KeyError:
+            raise _unassigned(frame, name) from None
+        return op(left, right(frame))
+    return var_expr
+
+
+def _fuse_var_right(op, left, name: str):
+    def expr_var(frame):
+        value = left(frame)
+        try:
+            right = frame.locals[name]
+        except KeyError:
+            raise _unassigned(frame, name) from None
+        return op(value, right)
+    return expr_var
+
+
+def _compile_bridge(ir):
+    entity, operation = ir[1], ir[2]
+    arguments = _compile_arguments(ir[3])
+    return lambda frame: frame.host.call_bridge(
+        frame.self_handle, entity, operation, arguments(frame))
+
+
+def _compile_classop(ir):
+    class_key, operation = ir[1], ir[2]
+    arguments = _compile_arguments(ir[3])
+    return lambda frame: frame.host.call_class_operation(
+        class_key, operation, arguments(frame))
+
+
+def _compile_instop(ir):
+    target, operation = _compile_expr(ir[1]), ir[2]
+    arguments = _compile_arguments(ir[3])
+
+    def instop(frame):
+        handle = target(frame)
+        if handle is None:
+            raise _empty_reference(frame)
+        return frame.host.call_instance_operation(
+            handle, operation, arguments(frame))
+    return instop
+
+
+_EXPRESSION_COMPILERS = {
+    "int": lambda ir: _constant(ir[1]),
+    "real": lambda ir: _constant(ir[1]),
+    "str": lambda ir: _constant(ir[1]),
+    "bool": lambda ir: _constant(ir[1]),
+    # enumerator name — one value space on every target
+    "enum": lambda ir: _constant(ir[2]),
+    "self": lambda ir: lambda frame: frame.self_handle,
+    "selected": lambda ir: lambda frame: frame.selected,
+    "var": _compile_var,
+    "param": _compile_param,
+    "attr": _compile_attr,
+    "un": _compile_un,
+    "bin": _compile_bin,
+    "bridge": _compile_bridge,
+    "classop": _compile_classop,
+    "instop": _compile_instop,
+}

@@ -47,6 +47,8 @@ class TargetMachine:
         self.now = 0                       # architecture-specific unit
         self.loop_bound = 100_000
         self.cant_happen_count = 0
+        # the executor keeps a private compiled table: the manifest cannot
+        # own one, since it is pickled into the artifact store
         self.executor = IRExecutor(self, error=ArchError,
                                    selection_error=ArchError)
         self.log_lines: list[tuple[int, str]] = []

@@ -97,10 +97,12 @@ class Simulation:
         }
         # One lowering per model content (fingerprint-cached), one shared
         # evaluator: the abstract runtime executes literally the same IR
-        # through literally the same code as csim and vsim.
+        # through literally the same code as csim and vsim.  The lowering
+        # owns the compiled closures, so each body compiles once per model.
         self._lowered: LoweredComponent = lower_component(model, self.component)
         self._exec = IRExecutor(
-            self, error=OALRuntimeError, selection_error=SelectionError
+            self, error=OALRuntimeError, selection_error=SelectionError,
+            compiled=self._lowered.compiled,
         )
 
         # observability: bind metrics once at construction; when no

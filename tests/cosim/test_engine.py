@@ -70,6 +70,19 @@ class TestFunctionalCorrectness:
         assert machine.bus.stats.messages == 0
 
 
+class TestScheduling:
+    def test_side_table_follows_the_partition(self):
+        machine = CoSimMachine(compiled(("CE", "D")))
+        assert machine.side_of_class("CE") == "hw"
+        assert machine.side_of_class("M") == "sw"
+        with pytest.raises(KeyError, match="not in this partition"):
+            machine.side_of_class("NOPE")
+
+    def test_drained_queues_leave_the_scan(self):
+        machine, _ = run_machine(("CE",))
+        assert machine._queues == {}
+
+
 class TestTiming:
     def test_time_advances_monotonically(self):
         machine, _ = run_machine(("CE",))

@@ -1,6 +1,8 @@
 """Unit tests for the unified execution core (:mod:`repro.exec`)."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.exec import (
     BreakSignal,
@@ -14,6 +16,7 @@ from repro.exec import (
     lower_component,
     lowering_cache_stats,
 )
+from repro.mda.archrt import ArchError
 from repro.oal.errors import OALRuntimeError
 from repro.runtime import Simulation
 from repro.xuml import ModelBuilder
@@ -50,6 +53,44 @@ class TestCValues:
             c_div(1, 0)
         with pytest.raises(OALRuntimeError):
             c_mod(1, 0)
+
+
+def truncating_div(left, right):
+    """C division by its definition: |l| // |r|, negated on mixed signs."""
+    quotient = abs(left) // abs(right)
+    return quotient if (left >= 0) == (right >= 0) else -quotient
+
+
+ints_and_bools = st.one_of(st.integers(), st.booleans())
+
+
+class TestCValuesFastPath:
+    @given(left=ints_and_bools, right=ints_and_bools.filter(bool))
+    def test_fast_path_equals_the_truncating_definition(self, left, right):
+        quotient = truncating_div(left, right)
+        remainder = left - quotient * right
+        assert c_div(left, right) == quotient
+        assert type(c_div(left, right)) is type(quotient)
+        assert c_mod(left, right) == remainder
+        assert type(c_mod(left, right)) is type(remainder)
+
+
+class TestDivisionByZeroUsesTheHostError:
+    """Every zero divisor raises the host's error type, with C wording."""
+
+    @pytest.mark.parametrize("op, left, message", [
+        ("/", ["int", 1], "integer division by zero"),
+        ("%", ["int", 1], "integer remainder by zero"),
+        ("/", ["real", 1.0], "division by zero"),
+        ("%", ["real", 1.0], "integer remainder by zero"),
+    ])
+    def test_zero_divisor_raises_host_error(self, op, left, message):
+        executor = IRExecutor(host=None, error=ArchError)
+        block = [["return", ["bin", op, left, ["int", 0]]]]
+        with pytest.raises(ArchError) as raised:
+            executor.run(block, None, {})
+        assert str(raised.value) == message
+        assert executor.ops_executed == 1
 
 
 class TestSingleDefinitions:
@@ -96,6 +137,78 @@ class TestExecutorErrorsArePluggable:
         executor.run([["assign_var", "x", ["int", 1]],
                       ["assign_var", "y", ["int", 2]]], None, {})
         assert executor.ops_executed == 2
+
+
+class _RecordingHost:
+    """Just enough host to see which host a compiled block acts on."""
+
+    def __init__(self, loop_bound=100_000):
+        self.loop_bound = loop_bound
+        self.writes = []
+
+    def write_attribute(self, handle, name, value):
+        self.writes.append((handle, name, value))
+
+
+class TestSharedCompiledTable:
+    def test_simulations_of_one_model_compile_each_block_once(
+            self, monkeypatch):
+        import repro.exec.evaluator as evaluator
+
+        compiles = []
+        original = evaluator.compile_block
+
+        def counting(block):
+            compiles.append(id(block))
+            return original(block)
+
+        monkeypatch.setattr(evaluator, "compile_block", counting)
+        clear_lowering_cache()
+        sims = [Simulation(build_counter_model()) for _ in range(2)]
+        assert sims[0]._lowered is sims[1]._lowered
+        for sim in sims:
+            handle = sim.create_instance("CN", cn_id=1)
+            sim.inject(handle, "GO", {"a": 3})
+            sim.run_to_quiescence()
+            assert sim.read_attribute(handle, "n") == 6
+        assert len(compiles) == len(set(compiles)) == 1
+        assert set(sims[0]._lowered.compiled) == set(compiles)
+
+    def test_sharing_executors_raise_their_own_error_types(self):
+        class FirstError(Exception):
+            pass
+
+        class SecondError(Exception):
+            pass
+
+        table = {}
+        first = IRExecutor(host=None, error=FirstError, compiled=table)
+        second = IRExecutor(host=None, error=SecondError, compiled=table)
+        for block in ([["exprstmt", ["var", "never_assigned"]]],
+                      [["return", ["bin", "/", ["int", 1], ["int", 0]]]]):
+            with pytest.raises(FirstError):
+                first.run(block, None, {})
+            with pytest.raises(SecondError):
+                second.run(block, None, {})
+        assert len(table) == 2
+
+    def test_compiled_block_acts_on_the_running_host(self):
+        compiling, running = _RecordingHost(), _RecordingHost(loop_bound=2)
+        table = {}
+        block = [["assign_attr", ["self"], "n", ["param", "v"]]]
+        IRExecutor(compiling, compiled=table).run(block, 1, {"v": 10})
+        IRExecutor(running, compiled=table).run(block, 2, {"v": 20})
+        assert compiling.writes == [(1, "n", 10)]
+        assert running.writes == [(2, "n", 20)]
+
+        loop = [["while", ["bool", True], [["assign_var", "x", ["int", 0]]]]]
+        with pytest.raises(OALRuntimeError, match="exceeded 100000"):
+            IRExecutor(compiling, compiled=table).run(loop, None, {})
+        executor = IRExecutor(running, compiled=table)
+        with pytest.raises(OALRuntimeError, match="exceeded 2 "):
+            executor.run(loop, None, {})
+        # the guard trips on the third test: two bodies ran, plus the loop
+        assert executor.ops_executed == 3
 
 
 class TestLoweringCache:
