@@ -17,12 +17,24 @@ a :class:`Witness` that :func:`replay_witness` can re-execute
 deterministically.  A finding with a witness is a defect; a suspect no
 schedule in budget could realize gets downgraded, not reported as
 ERROR.  That asymmetry is the acceptance bar: zero false ERRORs.
+
+Only runs that can differ are simulated.  A scheduler chooses only
+among the ready sources (instance queues plus a pending creation), and
+the pool after a dispatch depends only on the pool before it and the
+source chosen.  So if the synchronous baseline never has two sources
+ready at once, then by induction over its steps every scheduler meets
+the same single-source pools and dispatches the same sources: the
+scenario has exactly one legal trajectory, as in a DEVS abstract
+simulator with no simultaneous events.  :class:`RecordingScheduler`
+counts the steps with two or more ready sources; when the baseline has
+none, :class:`WitnessSearch` reuses its record for every seeded
+schedule instead of re-running it.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.runtime.scheduler import (
     InterleavedScheduler,
@@ -158,15 +170,23 @@ def stimuli_from_scenarios(scenarios) -> dict[str, frozenset[str]]:
 
 
 class RecordingScheduler(Scheduler):
-    """Wrap any scheduler; remember every dispatch choice it makes."""
+    """Wrap any scheduler; remember every dispatch choice it makes.
+
+    ``choice_points`` counts the calls at which at least two sources
+    were ready — the only calls at which another scheduler could have
+    chosen differently.
+    """
 
     name = "recording"
 
     def __init__(self, inner: Scheduler):
         self.inner = inner
         self.choices: list[int] = []
+        self.choice_points = 0
 
     def choose(self, pool):
+        if pool.source_count > 1:
+            self.choice_points += 1
         choice = self.inner.choose(pool)
         if choice is not None:
             self.choices.append(choice)
@@ -217,7 +237,9 @@ class RunRecord:
     external observer could tell them apart by final state.  ``drops``
     and ``consumed`` are (class, label, state-at-arrival) multisets
     reconstructed from the trace — the drop sites the static detectors
-    predict, as actually exercised.
+    predict, as actually exercised.  ``choice_points`` counts the
+    dispatches at which two or more sources were ready; a run with none
+    is the only trajectory any scheduler can produce.
     """
 
     scheduler_name: str
@@ -230,6 +252,7 @@ class RunRecord:
     steps: int
     truncated: bool
     drop_first_step: tuple = ()
+    choice_points: int = 0
 
     def has_drop(self, class_key: str, label: str, state: str, reason: str) -> bool:
         return any(
@@ -294,7 +317,7 @@ def _arrival_multisets(sim: Simulation):
     consumed: Counter = Counter()
     drop_first_step: dict[tuple, int] = {}
     dispatch_index = 0
-    for event in sim.trace.events:
+    for event in sim.trace:
         data = event.data
         if event.kind is TraceKind.INSTANCE_CREATED:
             klass_of[data["handle"]] = data["class_key"]
@@ -366,6 +389,7 @@ def run_scenario(
         steps=steps,
         truncated=truncated,
         drop_first_step=tuple(sorted(drop_first_step.items())),
+        choice_points=recorder.choice_points,
     )
 
 
@@ -425,9 +449,18 @@ def replay_witness(model: Model, witness: Witness,
 class WitnessSearch:
     """Seeded, budgeted exploration over a model's scenarios.
 
-    One search object serves every detector query for a model: runs are
-    cached per (scenario, schedule), so asking about ten drop sites
-    costs one sweep, not ten.
+    One search object serves every detector query for a model: each
+    scenario's records (the synchronous baseline, then one per seeded
+    schedule) are cached per scenario — by its value, not its name — so
+    asking about ten drop sites costs one sweep, not ten.
+
+    A scenario whose baseline never has two ready sources at once is
+    schedule-independent: every scheduler must pick the one ready source
+    at every step, so every seeded run repeats the baseline choice for
+    choice.  Its seeded records are the baseline record under the seeded
+    scheduler's name and seed, and the scenario is simulated once.
+    ``runs_executed`` still counts every schedule explored, simulated or
+    not.
     """
 
     def __init__(
@@ -445,25 +478,31 @@ class WitnessSearch:
         self.schedules = schedules
         self.max_steps = max_steps
         self.seed = seed
-        self._records: dict[str, list[RunRecord]] = {}
+        self._records: dict[Scenario, list[RunRecord]] = {}
         self.runs_executed = 0
 
     def records_for(self, scenario: Scenario) -> list[RunRecord]:
         """Baseline + seeded adversarial runs of one scenario (cached)."""
-        cached = self._records.get(scenario.name)
+        cached = self._records.get(scenario)
         if cached is not None:
             return cached
-        records = [run_scenario(
+        baseline = run_scenario(
             self.model, scenario, SynchronousScheduler(),
-            component=self.component, max_steps=self.max_steps)]
+            component=self.component, max_steps=self.max_steps)
+        records = [baseline]
         for offset in range(self.schedules):
             run_seed = self.seed + offset
+            if baseline.choice_points == 0:
+                records.append(replace(
+                    baseline, scheduler_name=InterleavedScheduler.name,
+                    seed=run_seed))
+                continue
             records.append(run_scenario(
                 self.model, scenario, InterleavedScheduler(run_seed),
                 component=self.component, max_steps=self.max_steps,
                 seed=run_seed))
         self.runs_executed += len(records)
-        self._records[scenario.name] = records
+        self._records[scenario] = records
         return records
 
     def find_drop(self, class_key: str, label: str, state: str,

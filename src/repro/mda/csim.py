@@ -30,7 +30,7 @@ class CSoftwareMachine(TargetMachine):
             head = self.pool.peek_for(handle)
             candidates.append((not head.is_self_directed, head.sequence, handle))
         if self.pool.has_ready_creation():
-            candidates.append((True, self.pool._creations[0].sequence, -1))
+            candidates.append((True, self.pool.peek_creation().sequence, -1))
         if not candidates:
             return None
         return min(candidates)[2]

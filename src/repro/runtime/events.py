@@ -89,12 +89,15 @@ class EventPool:
     """All pending work: ready queues per instance + time-ordered delays.
 
     Creation events have no instance yet; they wait in a dedicated FIFO
-    that schedulers treat as one more dispatch source.
+    that schedulers treat as one more dispatch source.  Only non-empty
+    instance queues are kept: a queue leaves when it drains, so the
+    ready handles are the queue keys and :attr:`source_count` is O(1).
     """
 
     def __init__(self, self_priority: bool = True):
         self._self_priority = self_priority
         self._queues: dict[int, InstanceQueue] = {}
+        self._ready_handles: tuple[int, ...] | None = ()
         self._creations: deque[SignalInstance] = deque()
         self._delayed: list[tuple[int, int, SignalInstance]] = []  # (due, seq, sig)
 
@@ -108,6 +111,7 @@ class EventPool:
         if queue is None:
             queue = InstanceQueue(self._self_priority)
             self._queues[signal.target_handle] = queue
+            self._ready_handles = None
         queue.push(signal)
 
     def push_delayed(self, signal: SignalInstance, due_time: int) -> None:
@@ -137,6 +141,7 @@ class EventPool:
         queue = self._queues.pop(handle, None)
         if queue is not None:
             removed += len(queue)
+            self._ready_handles = None
         removed += self.cancel_delayed(
             lambda signal: signal.target_handle == handle
         )
@@ -146,19 +151,35 @@ class EventPool:
 
     def ready_handles(self) -> tuple[int, ...]:
         """Handles with at least one ready event, in handle order."""
-        return tuple(sorted(h for h, q in self._queues.items() if q))
+        if self._ready_handles is None:
+            # sorted once per change in the set of non-empty queues
+            self._ready_handles = tuple(sorted(self._queues))
+        return self._ready_handles
 
     def has_ready_creation(self) -> bool:
         return bool(self._creations)
 
+    @property
+    def source_count(self) -> int:
+        """Ready dispatch sources: non-empty queues, plus one for creations."""
+        return len(self._queues) + (1 if self._creations else 0)
+
     def pop_for(self, handle: int) -> SignalInstance:
-        return self._queues[handle].pop()
+        queue = self._queues[handle]
+        signal = queue.pop()
+        if not queue:
+            del self._queues[handle]
+            self._ready_handles = None
+        return signal
 
     def peek_for(self, handle: int) -> SignalInstance:
         return self._queues[handle].peek()
 
     def pop_creation(self) -> SignalInstance:
         return self._creations.popleft()
+
+    def peek_creation(self) -> SignalInstance:
+        return self._creations[0]
 
     def next_due_time(self) -> int | None:
         """Earliest due time among delayed events, or None."""

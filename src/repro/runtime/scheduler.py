@@ -41,15 +41,16 @@ class Scheduler:
         """Return an instance handle, CREATION, or None when idle."""
         raise NotImplementedError
 
-    def _sources(self, pool: EventPool) -> list[int]:
-        sources = list(pool.ready_handles())
+    def _sources(self, pool: EventPool) -> tuple[int, ...]:
+        """Ready sources in ascending order: CREATION first, then handles."""
+        handles = pool.ready_handles()
         if pool.has_ready_creation():
-            sources.append(CREATION)
-        return sources
+            return (CREATION, *handles)
+        return handles
 
     def _head_sequence(self, pool: EventPool, source: int) -> int:
         if source == CREATION:
-            return pool._creations[0].sequence
+            return pool.peek_creation().sequence
         return pool.peek_for(source).sequence
 
 
@@ -74,7 +75,7 @@ class RoundRobinScheduler(Scheduler):
         self._last: int | None = None
 
     def choose(self, pool: EventPool) -> int | None:
-        sources = sorted(self._sources(pool))
+        sources = self._sources(pool)
         if not sources:
             return None
         if self._last is None:
@@ -98,7 +99,7 @@ class InterleavedScheduler(Scheduler):
         sources = self._sources(pool)
         if not sources:
             return None
-        return self._rng.choice(sorted(sources))
+        return self._rng.choice(sources)
 
 
 class PriorityScheduler(Scheduler):
@@ -117,7 +118,7 @@ class PriorityScheduler(Scheduler):
 
     def _priority_of(self, pool: EventPool, source: int) -> int:
         if source == CREATION:
-            class_key = pool._creations[0].class_key
+            class_key = pool.peek_creation().class_key
         else:
             class_key = self._class_of_handle(source)
         return self._priorities.get(class_key, 0)

@@ -95,6 +95,10 @@ class Simulation:
         self._populations: dict[str, Population] = {
             klass.key_letters: Population(klass) for klass in self.component.classes
         }
+        # every live instance by handle (handles are unique across classes)
+        self._instances: dict[int, Instance] = {}
+        # (entity, operation) pairs already checked against the component
+        self._known_bridges: set[tuple[str, str]] = set()
         # One lowering per model content (fingerprint-cached), one shared
         # evaluator: the abstract runtime executes literally the same IR
         # through literally the same code as csim and vsim.  The lowering
@@ -148,6 +152,7 @@ class Simulation:
         handle = self._next_handle
         self._next_handle += 1
         instance = population.create(handle)
+        self._instances[handle] = instance
         for name, value in attribute_values.items():
             instance.set(name, value)
         self.trace.record(
@@ -159,6 +164,7 @@ class Simulation:
     def delete_instance(self, handle: int) -> None:
         instance = self.instance(handle)
         self.population(instance.class_key).delete(handle)
+        del self._instances[handle]
         self.links.drop_instance(handle)
         dropped = self.pool.drop_instance(handle)
         self.trace.record(
@@ -167,10 +173,10 @@ class Simulation:
         )
 
     def instance(self, handle: int) -> Instance:
-        for population in self._populations.values():
-            if population.has(handle):
-                return population.get(handle)
-        raise SimulationError(f"no live instance #{handle}")
+        try:
+            return self._instances[handle]
+        except KeyError:
+            raise SimulationError(f"no live instance #{handle}") from None
 
     def class_of(self, handle: int) -> str:
         return self.instance(handle).class_key
@@ -352,7 +358,9 @@ class Simulation:
     # -- bridges and operations ----------------------------------------------------------
 
     def call_bridge(self, self_handle, entity: str, operation: str, kwargs: dict):
-        self.component.external(entity).bridge(operation)  # validates
+        if (entity, operation) not in self._known_bridges:
+            self.component.external(entity).bridge(operation)  # validates
+            self._known_bridges.add((entity, operation))
         class_key = self.class_of(self_handle) if self_handle is not None else None
         context = BridgeContext(self, self_handle, class_key)
         self.trace.record(
@@ -395,8 +403,8 @@ class Simulation:
             self._dispatch_creation(signal)
             return
         handle = signal.target_handle
-        population = self._populations.get(signal.class_key)
-        if population is None or not population.has(handle):
+        instance = self._instances.get(handle)
+        if instance is None or instance.class_key != signal.class_key:
             # target died while the signal was in flight: drop it
             self.trace.record(
                 self.now, TraceKind.SIGNAL_IGNORED,
@@ -404,7 +412,6 @@ class Simulation:
                 reason="target deleted",
             )
             return
-        instance = population.get(handle)
         klass = self.component.klass(signal.class_key)
         response = klass.statemachine.response_to(instance.current_state, signal.label)
         if response is EventResponse.IGNORE:
@@ -482,10 +489,11 @@ class Simulation:
         )
         self._activity_stack.append(activity_id)
         try:
-            params = {
-                name: signal.params.get(name)
-                for name in self._lowered.event_parameters[key]
-            }
+            names = self._lowered.event_parameters[key]
+            params = (
+                {name: signal.params.get(name) for name in names}
+                if names else {}
+            )
             self._exec.run(self._lowered.activities[key], instance.handle, params)
         finally:
             self._activity_stack.pop()

@@ -1,9 +1,14 @@
 """Unit tests for scenario distillation and the interleaving explorer."""
 
+import dataclasses
+
 import pytest
 
+import repro.analysis.witness as witness_module
 from repro.analysis.witness import (
+    RecordingScheduler,
     ReplayScheduler,
+    Scenario,
     WitnessSearch,
     replay_witness,
     run_scenario,
@@ -11,7 +16,9 @@ from repro.analysis.witness import (
     scenarios_from_cases,
     stimuli_from_scenarios,
 )
-from repro.models import build_elevator_model, build_microwave_model
+from repro.models import build_elevator_model, build_microwave_model, build_model
+from repro.models.catalog import CATALOG
+from repro.runtime import EventPool, SignalInstance
 from repro.runtime.scheduler import InterleavedScheduler, SynchronousScheduler
 from repro.verify import suite_for
 from repro.verify.testcase import ExpectState, InjectStep, RunStep
@@ -157,3 +164,118 @@ class TestRaceWitness:
 
     def test_pinned_signal_never_races(self, microwave_search):
         assert microwave_search.find_race("MO", "MO5") is None
+
+
+def _count_runs(monkeypatch) -> list:
+    """Record every scenario ``run_scenario`` simulates."""
+    simulated = []
+    real = witness_module.run_scenario
+
+    def counting(model, scenario, *args, **kwargs):
+        simulated.append(scenario.name)
+        return real(model, scenario, *args, **kwargs)
+
+    monkeypatch.setattr(witness_module, "run_scenario", counting)
+    return simulated
+
+
+class TestRecordCacheKey:
+    def test_same_name_different_steps_gets_its_own_records(
+            self, microwave, microwave_scenarios):
+        first, second = microwave_scenarios[0], microwave_scenarios[1]
+        impostor = Scenario(first.name, second.steps, second.source_case)
+        search = WitnessSearch(microwave, microwave_scenarios,
+                               component="control", schedules=2)
+        assert (search.records_for(first)[0].consumed
+                != search.records_for(second)[0].consumed)
+        assert search.records_for(impostor) == search.records_for(second)
+        assert search.runs_executed == 9
+
+    def test_equal_scenario_is_a_cache_hit(self, microwave,
+                                           microwave_scenarios):
+        scenario = microwave_scenarios[0]
+        search = WitnessSearch(microwave, microwave_scenarios,
+                               component="control", schedules=2)
+        search.records_for(scenario)
+        search.records_for(Scenario(scenario.name, scenario.steps,
+                                    scenario.source_case))
+        assert search.runs_executed == 3
+
+
+class TestChoicePoints:
+    @staticmethod
+    def _signal(sequence, target):
+        return SignalInstance(sequence=sequence, label="EV", class_key="W",
+                              target_handle=target)
+
+    def test_only_calls_with_two_ready_sources_count(self):
+        pool = EventPool()
+        recorder = RecordingScheduler(SynchronousScheduler())
+        pool.push_ready(self._signal(1, 4))
+        recorder.choose(pool)           # one source: no choice
+        pool.push_ready(self._signal(2, 5))
+        recorder.choose(pool)           # two sources: a choice point
+        pool.pop_for(4)
+        recorder.choose(pool)
+        assert recorder.choice_points == 1
+        assert recorder.choices == [4, 4, 5]
+
+    def test_recorded_on_the_run_record(self, microwave, microwave_scenarios):
+        counts = [run_scenario(microwave, scenario, SynchronousScheduler(),
+                               component="control").choice_points
+                  for scenario in microwave_scenarios]
+        assert 0 in counts and any(counts)
+
+
+def _schedule_independent_scenarios():
+    for entry in CATALOG:
+        model = build_model(entry.name)
+        for scenario in scenarios_for_model(entry.name):
+            baseline = run_scenario(model, scenario, SynchronousScheduler())
+            if baseline.choice_points == 0:
+                yield pytest.param(model, scenario,
+                                   id=f"{entry.name}/{scenario.name}")
+
+
+class TestScheduleIndependence:
+    """A baseline with no choice point stands for every seeded run."""
+
+    @pytest.mark.parametrize("model,scenario",
+                             list(_schedule_independent_scenarios()))
+    def test_shortcut_records_equal_real_runs(self, model, scenario):
+        search = WitnessSearch(model, (scenario,), schedules=3, seed=11)
+        shortcut = search.records_for(scenario)[1:]
+        for seed, record in zip((11, 12, 13), shortcut, strict=True):
+            real = run_scenario(model, scenario, InterleavedScheduler(seed),
+                                seed=seed)
+            for field in dataclasses.fields(real):
+                assert (getattr(record, field.name)
+                        == getattr(real, field.name)), field.name
+
+    def test_catalog_has_schedule_independent_scenarios(self):
+        names = {param.id.split("/")[0]
+                 for param in _schedule_independent_scenarios()}
+        assert {"trafficlight", "microwave", "checksum"} <= names
+
+    def test_independent_scenario_is_simulated_once(self, monkeypatch):
+        model = build_model("checksum")
+        scenario = next(s for s in scenarios_for_model("checksum")
+                        if s.name == "single-job-correct")
+        simulated = _count_runs(monkeypatch)
+        search = WitnessSearch(model, (scenario,))
+        records = search.records_for(scenario)
+        assert simulated == ["single-job-correct"]
+        assert len(records) == search.runs_executed == 25
+        assert [r.seed for r in records] == [None, *range(24)]
+        assert {r.scheduler_name for r in records[1:]} == {"interleaved"}
+
+    def test_scenario_with_a_choice_point_simulates_every_run(
+            self, monkeypatch):
+        model = build_elevator_model()
+        scenario = next(s for s in scenarios_for_model("Elevator")
+                        if s.name == "two-cars-split-work")
+        simulated = _count_runs(monkeypatch)
+        search = WitnessSearch(model, (scenario,))
+        records = search.records_for(scenario)
+        assert records[0].choice_points > 0
+        assert len(simulated) == len(records) == search.runs_executed == 25

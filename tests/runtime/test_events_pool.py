@@ -81,6 +81,41 @@ class TestEventPool:
         assert pool.ready_handles() == (5,)
         assert pool.is_idle() is False
 
+    def test_drained_queue_leaves(self):
+        pool = EventPool()
+        pool.push_ready(signal(1, target=4))
+        pool.push_ready(signal(2, target=4))
+        pool.push_ready(signal(3, target=6))
+        assert pool.source_count == 2
+        pool.pop_for(4)
+        assert pool.ready_handles() == (4, 6)
+        pool.pop_for(4)
+        assert 4 not in pool._queues
+        assert pool.ready_handles() == (6,)
+        assert pool.source_count == 1
+
+    def test_ready_handles_stay_a_sorted_tuple(self):
+        pool = EventPool()
+        for seq, target in enumerate((9, 3, 7, 3, 1), start=1):
+            pool.push_ready(signal(seq, target=target))
+        assert pool.ready_handles() == (1, 3, 7, 9)
+        pool.pop_for(1)
+        pool.pop_for(7)
+        pool.push_ready(signal(6, target=5))
+        pool.push_ready(signal(7, target=1))
+        handles = pool.ready_handles()
+        assert isinstance(handles, tuple)
+        assert handles == (1, 3, 5, 9)
+
+    def test_source_count_includes_pending_creations(self):
+        pool = EventPool()
+        assert pool.source_count == 0
+        pool.push_ready(signal(1, creation=True))
+        pool.push_ready(signal(2, creation=True))
+        pool.push_ready(signal(3, target=2))
+        assert pool.source_count == 2
+        assert pool.peek_creation().sequence == 1
+
     def test_idle(self):
         pool = EventPool()
         assert pool.is_idle()

@@ -74,6 +74,23 @@ class TestInterleaved:
         pool = pool_with(signal(1, 4))
         assert InterleavedScheduler(0).choose(pool) == 4
 
+    def test_pinned_choices_over_creations_and_handles(self):
+        # drawn from (CREATION, *handles ascending); a change of that
+        # order changes every seeded exploration
+        targets = (7, 2, None, 5, 2, 11, None, 7, 5, 2, 11, None)
+        pool = pool_with(*(signal(seq, target, creation=target is None)
+                           for seq, target in enumerate(targets, start=1)))
+        scheduler = InterleavedScheduler(2005)
+        picks = []
+        while (source := scheduler.choose(pool)) is not None:
+            picks.append(source)
+            if source == CREATION:
+                pool.pop_creation()
+            else:
+                pool.pop_for(source)
+        assert picks == [7, CREATION, CREATION, 7, 2, 11, 11, CREATION,
+                         2, 5, 5, 2]
+
 
 class TestPriority:
     def test_higher_priority_class_first(self):

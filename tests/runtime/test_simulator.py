@@ -2,13 +2,16 @@
 
 import pytest
 
+from repro.models import build_microwave_model
 from repro.runtime import (
     CantHappenError,
     Simulation,
     SimulationError,
+    TraceEvent,
     TraceKind,
 )
 from repro.xuml import ModelBuilder
+from repro.xuml.errors import UnknownElementError
 
 
 def counter_model():
@@ -186,6 +189,65 @@ class TestDeletionSemantics:
         sim.delete_instance(first)
         second = sim.create_instance("CN", cn_id=2)
         assert second != first
+
+
+class TestInstanceIndex:
+    def test_lookup_follows_create_and_delete(self, sim):
+        counter = sim.create_instance("CN", cn_id=1)
+        assert sim.instance(counter).class_key == "CN"
+        assert sim.class_of(counter) == "CN"
+        sim.delete_instance(counter)
+        with pytest.raises(SimulationError):
+            sim.instance(counter)
+
+    def test_instances_born_of_creation_events_are_indexed(self, sim):
+        sim.send_creation("SP", "SP0", {"tag": 3})
+        sim.run_to_quiescence()
+        (spawned,) = sim.instances_of("SP")
+        assert sim.instance(spawned).get("tag") == 3
+        assert sim.class_of(spawned) == "SP"
+
+
+class TestBridgeValidation:
+    def test_known_bridge_is_validated_once(self, monkeypatch):
+        sim = Simulation(build_microwave_model())
+        looked_up = []
+        external = sim.component.external
+
+        def counting(key_letters):
+            looked_up.append(key_letters)
+            return external(key_letters)
+
+        monkeypatch.setattr(sim.component, "external", counting)
+        sim.call_bridge(None, "LOG", "info", {"message": "a"})
+        sim.call_bridge(None, "LOG", "info", {"message": "b"})
+        assert looked_up == ["LOG"]
+        assert [m for _, m in sim.bridges.log_lines] == ["a", "b"]
+
+    def test_unknown_bridge_raises_on_every_call(self):
+        sim = Simulation(build_microwave_model())
+        for _ in range(2):
+            with pytest.raises(UnknownElementError):
+                sim.call_bridge(None, "LOG", "nope", {})
+
+
+class TestTraceEvent:
+    def test_equality_and_hash_ignore_data(self):
+        first = TraceEvent(3, 10, TraceKind.LOG, {"message": "a"})
+        second = TraceEvent(3, 10, TraceKind.LOG, {"message": "b"})
+        assert first == second
+        assert hash(first) == hash(second)
+        assert first != TraceEvent(4, 10, TraceKind.LOG)
+        assert first != TraceEvent(3, 11, TraceKind.LOG)
+        assert first != TraceEvent(3, 10, TraceKind.TRANSITION)
+        assert first != (3, 10, TraceKind.LOG)
+
+    def test_fields_and_default_data(self):
+        event = TraceEvent(0, 5, TraceKind.LOG)
+        assert (event.index, event.time, event.kind, event.data) == (
+            0, 5, TraceKind.LOG, {})
+        assert "kind=<TraceKind.LOG" in repr(event)
+        assert str(event).endswith("log: ")
 
 
 class TestMultiComponentSelection:
