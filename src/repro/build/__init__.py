@@ -1,12 +1,13 @@
-"""Content-addressed build cache + parallel batch compilation (E9).
+"""Content-addressed build cache + batch compilation (E9).
 
 * :mod:`~repro.build.fingerprint` — stable content hashes of
   model/marks/rules, with per-class dependency keys
-* :class:`ArtifactStore` — atomic on-disk object store with LRU GC
+* :class:`ArtifactStore` — on-disk object store with LRU GC; its atomic
+  writes let several processes share one cache directory
 * :class:`IncrementalCompiler` — retargets reuse cached per-class
   artifacts, byte-identical to a cold build
-* :func:`run_batch` — process-pool batch scheduler over the catalog ×
-  mark-variant matrix, with crash containment
+* :func:`run_batch` — one serial loop over the catalog × mark-variant
+  matrix through one store, a failing job contained to its own row
 """
 
 from .fingerprint import (

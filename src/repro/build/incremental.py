@@ -49,8 +49,8 @@ from .fingerprint import (
 )
 from .store import ArtifactStore, StoreStats
 
-#: In-process manifest memo (manifest key -> manifest); bounded so
-#: long-lived batch workers touring a large catalog stay bounded too.
+#: In-process manifest memo (manifest key -> manifest); bounded so a
+#: long-lived process touring a large catalog stays bounded too.
 _MANIFEST_MEMO: "OrderedDict[str, ComponentManifest]" = OrderedDict()
 _MEMO_LIMIT = 32
 

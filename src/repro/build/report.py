@@ -2,7 +2,7 @@
 
 The same renderer/CSV split as :mod:`repro.cosim.report`: one
 fixed-width table shared by the CLI, the tutorial and E9, plus CSV
-export of every job row and the aggregate cache/scheduler counters so
+export of every job row and the aggregate cache counters so
 the E9 bench feeds spreadsheets exactly like E8 does.
 """
 
@@ -45,13 +45,11 @@ def render_batch_table(report: BatchReport) -> str:
 
 
 def render_cache_summary(report: BatchReport) -> str:
-    """One-paragraph aggregate of the cache and scheduler counters."""
+    """One-paragraph aggregate of the job and cache counters."""
     store = report.store
     lines = [
-        f"batch: {len(report.results)} jobs on {report.jobs} worker(s) "
-        f"in {report.elapsed_s:.2f}s "
-        f"({len(report.failed)} failed, "
-        f"{report.worker_failures} worker crash(es))",
+        f"batch: {len(report.results)} jobs in {report.elapsed_s:.2f}s "
+        f"({len(report.failed)} failed)",
         f"  classes: {report.classes_compiled} compiled, "
         f"{report.classes_reused} reused from cache",
         f"  cache: {store.hits} hits / {store.lookups} lookups "

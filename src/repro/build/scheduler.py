@@ -1,29 +1,25 @@
-"""Batch compilation service — the catalog × mark-variant matrix, fanned out.
+"""Batch compilation service — the catalog × mark-variant matrix.
 
 :func:`catalog_matrix` enumerates the standard build matrix (every
 catalog model × the all-software baseline, each single-class hardware
 retarget, and the all-hardware build); :func:`run_batch` compiles the
-matrix on a process pool sharing one content-addressed cache directory.
+matrix in one serial loop through one content-addressed store.
 
-Guarantees the service makes:
+Catalog jobs take a few milliseconds each, so the cost that matters is
+the store's hit rate, not fan-out.  Guarantees the service makes:
 
-* **deterministic ordering** — results come back in matrix order no
-  matter which worker finished first, so two runs of the same matrix
-  produce comparable reports line-for-line;
-* **crash containment** — a worker that dies (segfault, ``os._exit``,
-  OOM-kill) breaks only its pool generation: the scheduler rebuilds the
-  pool, retries the jobs that were in flight, and reports the job that
-  keeps killing workers as failed instead of taking the batch down;
-* **shared-cache safety** — workers share the cache directory through
-  the store's atomic writes; identical keys always carry identical
-  bytes, so racing writers are harmless.
+* **deterministic ordering** — results come back in matrix order, so
+  two runs of the same matrix produce comparable reports line-for-line;
+* **failure containment** — a job that raises is reported as failed and
+  the batch carries on with the next one;
+* **shared-cache safety** — several ``repro batch`` processes may share
+  one cache directory through the store's atomic writes; identical keys
+  always carry identical bytes, so racing writers are harmless.
 """
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from repro.marks.partition import marks_for_partition
@@ -34,9 +30,6 @@ from .fingerprint import artifacts_digest
 from .incremental import IncrementalCompiler
 from .store import ArtifactStore, StoreStats
 
-#: Test hook: a worker whose job matches "<model>:<variant>" hard-exits,
-#: simulating a native crash for the containment tests.
-_CRASH_ENV = "REPRO_BUILD_CRASH"
 
 @dataclass(frozen=True)
 class BatchJob:
@@ -77,9 +70,7 @@ class BatchReport:
     """The whole batch, in matrix order, plus aggregate counters."""
 
     results: list[JobResult]
-    jobs: int
     elapsed_s: float
-    worker_failures: int = 0
 
     @property
     def failed(self) -> list[JobResult]:
@@ -136,22 +127,13 @@ def catalog_matrix(models: tuple[str, ...] | None = None) -> list[BatchJob]:
     return jobs
 
 
-def _execute_job(
-    job: BatchJob, cache_dir: str | None, use_cache: bool,
-    gc_bytes: int | None = None,
-    store: ArtifactStore | None = None,
-) -> JobResult:
-    """Compile one matrix cell (runs inside a pool worker or inline)."""
-    if os.environ.get(_CRASH_ENV) == job.label:
-        os._exit(13)  # simulate a native worker crash (test hook)
+def _execute_job(job: BatchJob, store: ArtifactStore | None) -> JobResult:
+    """Compile one matrix cell; an exception fails the cell, not the batch."""
     start = time.perf_counter()
     try:
         model = build_model(job.model)
         component = model.components[0]
         marks = marks_for_partition(component, job.hardware)
-        if store is None and use_cache and cache_dir is not None:
-            store = ArtifactStore(cache_dir, max_bytes=gc_bytes)
-        before = store.stats.snapshot() if store is not None else None
         compiler = IncrementalCompiler(model, store=store)
         build = compiler.compile(marks)
         stats = compiler.last_stats
@@ -165,8 +147,7 @@ def _execute_job(
             classes_compiled=stats.classes_compiled,
             classes_reused=stats.classes_reused,
             elapsed_s=time.perf_counter() - start,
-            store=(store.stats.delta(before) if store is not None
-                   else StoreStats()),
+            store=stats.store,
         )
     except Exception as exc:
         return JobResult(
@@ -176,128 +157,28 @@ def _execute_job(
         )
 
 
-def _execute_chunk(
-    block: list[BatchJob], cache_dir: str | None, use_cache: bool,
-    gc_bytes: int | None = None,
-) -> list[JobResult]:
-    """Compile a contiguous slice of the matrix inside one worker.
-
-    Chunked dispatch amortises the submit/result round-trip over several
-    jobs and lets the worker keep one store handle and a warm manifest
-    memo across the whole slice — per-job IPC was the dominant scheduler
-    overhead on small matrices.
-    """
-    store = (ArtifactStore(cache_dir, max_bytes=gc_bytes)
-             if use_cache and cache_dir is not None else None)
-    return [
-        _execute_job(job, cache_dir, use_cache, gc_bytes, store=store)
-        for job in block
-    ]
-
-
 def run_batch(
-    matrix: list[BatchJob],
-    *,
-    jobs: int = 1,
-    cache_dir: str | None = None,
-    use_cache: bool = True,
-    gc_bytes: int | None = None,
+    matrix: list[BatchJob], store: ArtifactStore | None = None,
 ) -> BatchReport:
-    """Compile the whole *matrix* with *jobs* workers; see module docs."""
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    """Compile the whole *matrix* in order through *store*; see module docs.
+
+    With ``store=None`` every job compiles fresh (the in-process
+    manifest memo still spares same-model jobs the OAL lowering).  The
+    store reports its own traffic to the metrics registry that was active
+    when it was built.
+    """
     start = time.perf_counter()
-    results: dict[int, JobResult] = {}
-    worker_failures = 0
-
-    if jobs == 1:
-        # inline: one shared store, so the in-process manifest memo and
-        # the cache are both warm across the whole matrix
-        store = (ArtifactStore(cache_dir, max_bytes=gc_bytes)
-                 if use_cache and cache_dir is not None else None)
-        for index, job in enumerate(matrix):
-            results[index] = _execute_job(
-                job, cache_dir, use_cache, gc_bytes, store=store)
-    else:
-        # 4 chunks per worker balances dispatch overhead against load
-        # skew from uneven job sizes
-        chunk = max(1, -(-len(matrix) // (jobs * 4)))
-        blocks = [
-            (first, matrix[first:first + chunk])
-            for first in range(0, len(matrix), chunk)
-        ]
-        crashed: list[tuple[int, BatchJob]] = []
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [
-                (first, block,
-                 pool.submit(_execute_chunk, block, cache_dir, use_cache,
-                             gc_bytes))
-                for first, block in blocks
-            ]
-            for first, block, future in futures:
-                try:
-                    for offset, result in enumerate(future.result()):
-                        results[first + offset] = result
-                except BrokenExecutor:
-                    # results computed before the crash died with the
-                    # worker; every job in the slice goes to retry
-                    crashed.extend(
-                        (first + offset, job)
-                        for offset, job in enumerate(block))
-                except Exception as exc:  # worker-side infrastructure
-                    for offset, job in enumerate(block):
-                        results[first + offset] = JobResult(
-                            job=job, ok=False,
-                            error=f"{type(exc).__name__}: {exc}")
-        if crashed:
-            # A dead worker breaks its whole pool generation, so every
-            # in-flight job lands here alongside the one that killed it.
-            # Retry each suspect in its own single-worker pool: innocents
-            # recover, and a genuinely poisonous job fails alone.
-            worker_failures += 1
-            for index, job in crashed:
-                try:
-                    with ProcessPoolExecutor(max_workers=1) as pool:
-                        results[index] = pool.submit(
-                            _execute_job, job, cache_dir, use_cache,
-                            gc_bytes).result()
-                except BrokenExecutor:
-                    worker_failures += 1
-                    results[index] = JobResult(
-                        job=job, ok=False,
-                        error="worker process crashed")
-                except Exception as exc:
-                    results[index] = JobResult(
-                        job=job, ok=False,
-                        error=f"{type(exc).__name__}: {exc}")
-
-    ordered = [results[index] for index in range(len(matrix))]
-    report = BatchReport(
-        results=ordered,
-        jobs=jobs,
-        elapsed_s=time.perf_counter() - start,
-        worker_failures=worker_failures,
-    )
+    results = [_execute_job(job, store) for job in matrix]
+    report = BatchReport(results=results,
+                         elapsed_s=time.perf_counter() - start)
     registry = active_registry()
     if registry is not None:
-        # Pool workers are separate processes, so their registry copies
-        # die with them — fold the batch's numbers in here, from the
-        # results, where they are authoritative either way.
         wall = registry.histogram(
             "build.job_wall_ms",
             buckets=(1, 5, 10, 50, 100, 500, 1_000, 5_000))
-        for result in ordered:
+        for result in results:
             wall.observe(result.elapsed_s * 1_000)
-        registry.counter("build.jobs_ok").inc(
-            sum(1 for r in ordered if r.ok))
-        registry.counter("build.jobs_failed").inc(len(report.failed))
-        registry.counter("build.worker_failures").inc(worker_failures)
-        if jobs > 1:
-            # inline stores (jobs == 1) already reported live; only the
-            # workers' slices need folding in
-            store = report.store
-            registry.counter("build.store.hits").inc(store.hits)
-            registry.counter("build.store.misses").inc(store.misses)
-            registry.counter("build.store.puts").inc(store.puts)
-            registry.counter("build.store.evictions").inc(store.evictions)
+        failed = len(report.failed)
+        registry.counter("build.jobs_ok").inc(len(results) - failed)
+        registry.counter("build.jobs_failed").inc(failed)
     return report

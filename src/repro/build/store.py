@@ -3,10 +3,11 @@
 Objects are opaque byte payloads filed under their dependency key (a
 hex digest from :mod:`repro.build.fingerprint`), laid out git-style as
 ``objects/<first two chars>/<key>`` to keep directories small.  Writes
-go to a temporary sibling and ``os.replace`` into place, so concurrent
-batch workers sharing one cache directory can never observe a torn
-object — the worst race is two workers writing the same key, and since
-keys name content, both writes carry identical bytes.
+go to a temporary sibling and ``os.replace`` into place, so processes
+sharing one cache directory (say, two ``repro batch`` runs) can never
+observe a torn object — the worst race is two processes writing the
+same key, and since keys name content, both writes carry identical
+bytes.
 
 Reads touch the object's mtime, which makes :meth:`ArtifactStore.gc`
 an LRU sweep: evict oldest-read objects until the store fits the byte
@@ -168,7 +169,7 @@ class ArtifactStore:
             try:
                 stat = path.stat()
             except FileNotFoundError:
-                continue  # evicted by a concurrent worker
+                continue  # evicted by a concurrent process
             entries.append((stat.st_mtime, stat.st_size, path))
         return entries
 
@@ -197,7 +198,7 @@ class ArtifactStore:
             try:
                 path.unlink()
             except FileNotFoundError:
-                pass  # a concurrent worker got there first
+                pass  # a concurrent process got there first
             total -= size
             evicted += 1
         self.stats.evictions += evicted

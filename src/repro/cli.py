@@ -13,7 +13,7 @@ The tool surface a downstream user drives without writing Python:
 * ``verify``  — run a catalog model's formal suite on all platforms
 * ``sweep``   — co-simulate candidate partitions of the packet SoC
 * ``chaos``   — replay a formal suite under injected bus faults (E8)
-* ``batch``   — compile the catalog × mark-variant matrix in parallel
+* ``batch``   — compile the catalog × mark-variant matrix serially
   against the content-addressed build cache (E9)
 * ``trace``   — export a run's execution trace as versioned JSONL (or
   load/verify one), with optional critical-path analysis (E10)
@@ -246,32 +246,31 @@ def cmd_batch(args) -> int:
         write_batch_csv,
     )
 
-    if args.jobs < 1:
-        print(f"batch: --jobs must be >= 1, got {args.jobs}",
-              file=sys.stderr)
-        return 1
     if args.min_hit_rate is not None and not 0.0 <= args.min_hit_rate <= 1.0:
         print(f"batch: --min-hit-rate must be within 0..1, got "
               f"{args.min_hit_rate}", file=sys.stderr)
+        return 1
+    if args.gc_bytes is not None and args.gc_bytes < 0:
+        print(f"batch: --gc-bytes must be >= 0, got {args.gc_bytes}",
+              file=sys.stderr)
         return 1
     try:
         matrix = catalog_matrix(tuple(args.models) or None)
     except KeyError as exc:
         print(f"batch: {exc.args[0]}", file=sys.stderr)
         return 1
-    cache_dir = None if args.no_cache else args.cache_dir
-    if cache_dir is not None:
+    store = None
+    if not args.no_cache:
         try:
-            store = ArtifactStore(cache_dir)
+            store = ArtifactStore(args.cache_dir, max_bytes=args.gc_bytes)
             probe = store.root / ".write-probe"
             probe.write_text("")
             probe.unlink()
         except (StoreError, OSError) as exc:
-            print(f"batch: cache directory {cache_dir!r} is not "
+            print(f"batch: cache directory {args.cache_dir!r} is not "
                   f"writable: {exc}", file=sys.stderr)
             return 1
-    report = run_batch(matrix, jobs=args.jobs, cache_dir=cache_dir,
-                       use_cache=not args.no_cache, gc_bytes=args.gc_bytes)
+    report = run_batch(matrix, store)
     print(render_batch_table(report))
     print(render_cache_summary(report))
     if args.csv:
@@ -433,7 +432,7 @@ def cmd_metrics(args) -> int:
     import json
     import tempfile
 
-    from repro.build import BatchJob, run_batch
+    from repro.build import ArtifactStore, BatchJob, run_batch
     from repro.models import build_model
     from repro.obs import observe
     from repro.verify import (
@@ -460,7 +459,7 @@ def cmd_metrics(args) -> int:
         # build cache: the same job twice — a cold miss, then a warm hit
         with tempfile.TemporaryDirectory() as tmp:
             job = BatchJob(args.name, "sw-only", ())
-            run_batch([job, job], jobs=1, cache_dir=tmp)
+            run_batch([job, job], ArtifactStore(tmp))
 
     if args.json:
         print(json.dumps(registry.as_dict(), indent=2, sort_keys=True))
@@ -585,8 +584,6 @@ def build_parser() -> argparse.ArgumentParser:
              "build cache (E9)")
     batch.add_argument("models", nargs="*",
                        help="catalog model names (default: all)")
-    batch.add_argument("-j", "--jobs", type=int, default=1,
-                       help="worker processes (>= 1; default 1)")
     batch.add_argument("--cache-dir", default=".repro-cache",
                        help="content-addressed artifact cache directory")
     batch.add_argument("--no-cache", action="store_true",

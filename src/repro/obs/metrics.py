@@ -36,6 +36,11 @@ def percentile_nearest_rank(values, fraction: float) -> float:
     and the tail is never under-reported: the p99 of 100 distinct
     samples is the 100th value, not the 99th (round-based indexing — the
     bug this helper replaces — picks the 99th).  Empty input is NaN.
+
+    The estimator is deliberately upper-biased: rounding the rank up
+    means the p50 of an even count is the upper median (the p50 of two
+    samples is the larger one), not an average or the lower median.
+    Committed benchmark references pin percentiles computed this way.
     """
     if not 0.0 <= fraction <= 1.0:
         raise MetricsError(f"percentile fraction {fraction} is outside 0..1")

@@ -1,8 +1,9 @@
-"""The batch scheduler: determinism, parallel safety, crash containment."""
+"""The batch scheduler: matrix order, the shared store, failure containment."""
 
 import pytest
 
 from repro.build import (
+    ArtifactStore,
     BatchJob,
     batch_to_csv,
     catalog_matrix,
@@ -12,6 +13,7 @@ from repro.build import (
     run_batch,
     write_batch_csv,
 )
+from repro.obs import observe
 
 SMALL = ("microwave", "checksum")
 
@@ -43,70 +45,50 @@ class TestMatrix:
 class TestRunBatch:
     def test_inline_batch_is_deterministic(self, tmp_path):
         matrix = catalog_matrix(SMALL)
-        report = run_batch(matrix, jobs=1, cache_dir=str(tmp_path))
+        report = run_batch(matrix, ArtifactStore(tmp_path))
         assert [r.job for r in report.results] == matrix
         assert not report.failed
 
-    def test_parallel_results_in_matrix_order_with_same_digests(
-            self, tmp_path):
-        matrix = catalog_matrix(SMALL)
-        inline = run_batch(matrix, jobs=1, cache_dir=str(tmp_path / "a"))
-        parallel = run_batch(matrix, jobs=3,
-                             cache_dir=str(tmp_path / "b"))
-        assert [r.job for r in parallel.results] == matrix
-        assert [r.digest for r in parallel.results] == \
-            [r.digest for r in inline.results]
-
     def test_second_run_is_fully_cached(self, tmp_path):
         matrix = catalog_matrix(("microwave",))
-        run_batch(matrix, jobs=1, cache_dir=str(tmp_path))
-        again = run_batch(matrix, jobs=1, cache_dir=str(tmp_path))
+        run_batch(matrix, ArtifactStore(tmp_path))
+        again = run_batch(matrix, ArtifactStore(tmp_path))
         assert again.hit_rate >= 0.9
         assert again.classes_compiled == 0
 
-    def test_no_cache_runs_without_a_store(self, tmp_path):
+    def test_no_cache_runs_without_a_store(self):
         matrix = catalog_matrix(("checksum",))
-        report = run_batch(matrix, jobs=1, use_cache=False)
+        report = run_batch(matrix)
         assert not report.failed
         assert report.store.lookups == 0
-
-    def test_jobs_below_one_rejected(self):
-        with pytest.raises(ValueError, match=">= 1"):
-            run_batch([], jobs=0)
 
     def test_failing_job_contained_not_fatal(self, tmp_path):
         matrix = [BatchJob("microwave", "sw-only", ()),
                   BatchJob("ghost-model", "sw-only", ())]
-        report = run_batch(matrix, jobs=1, cache_dir=str(tmp_path))
+        report = run_batch(matrix, ArtifactStore(tmp_path))
         assert report.results[0].ok
         assert not report.results[1].ok
         assert "ghost-model" in report.results[1].error
 
-
-class TestCrashContainment:
-    def test_worker_crash_fails_one_job_not_the_batch(
-            self, tmp_path, monkeypatch):
-        matrix = catalog_matrix(SMALL)
-        poisoned = matrix[2]
-        monkeypatch.setenv("REPRO_BUILD_CRASH", poisoned.label)
-        report = run_batch(matrix, jobs=2, cache_dir=str(tmp_path))
-        assert report.worker_failures >= 1
-        assert [r.job for r in report.results] == matrix
-        failed = report.failed
-        assert [r.job for r in failed] == [poisoned]
-        assert "crashed" in failed[0].error
-        # every innocent job recovered
-        assert all(r.ok for r in report.results if r.job != poisoned)
+    def test_registry_counts_store_traffic_once(self, tmp_path):
+        matrix = catalog_matrix(("checksum",))
+        with observe() as registry:
+            report = run_batch(matrix, ArtifactStore(tmp_path))
+        counters = {c.name: c.value for c in registry.counters}
+        assert report.store.lookups > 0
+        assert counters["build.store.hits"] == report.store.hits
+        assert counters["build.store.misses"] == report.store.misses
+        assert counters["build.jobs_ok"] == len(matrix)
 
 
 class TestReporting:
     def test_table_summary_and_csv_agree(self, tmp_path):
         matrix = catalog_matrix(("checksum",))
-        report = run_batch(matrix, jobs=1, cache_dir=str(tmp_path))
+        report = run_batch(matrix, ArtifactStore(tmp_path))
         table = render_batch_table(report)
         assert "checksum" in table and "sw-only" in table
         summary = render_cache_summary(report)
-        assert "hit rate" in summary and "worker crash" in summary
+        assert "hit rate" in summary
         csv_text = batch_to_csv(report)
         lines = csv_text.strip().splitlines()
         assert lines[0].startswith("model,variant,ok")
@@ -114,7 +96,7 @@ class TestReporting:
 
     def test_csv_written_to_disk(self, tmp_path):
         matrix = catalog_matrix(("checksum",))
-        report = run_batch(matrix, jobs=1, cache_dir=str(tmp_path / "c"))
+        report = run_batch(matrix, ArtifactStore(tmp_path / "c"))
         path = write_batch_csv(report, tmp_path / "batch.csv")
         assert (tmp_path / "batch.csv").read_text() == batch_to_csv(report)
         assert path.endswith("batch.csv")

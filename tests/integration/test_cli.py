@@ -115,21 +115,17 @@ class TestBatch:
                      "--min-hit-rate", "0.9"]) == 1
         assert "below the required 90%" in capsys.readouterr().err
 
-    def test_parallel_jobs_accepted(self, tmp_path, capsys):
-        assert main(["batch", "microwave", "checksum", "--jobs", "2",
-                     "--cache-dir", str(tmp_path / "cache")]) == 0
-        assert "on 2 worker(s)" in capsys.readouterr().out
-
     def test_no_cache_flag_skips_the_store(self, tmp_path, capsys):
         assert main(["batch", "checksum", "--no-cache",
                      "--cache-dir", str(tmp_path / "cache")]) == 0
         assert "0 hits / 0 lookups" in capsys.readouterr().out
         assert not (tmp_path / "cache").exists()
 
-    def test_jobs_below_one_rejected(self, tmp_path, capsys):
-        assert main(["batch", "microwave", "--jobs", "0",
+    def test_negative_gc_bytes_rejected(self, tmp_path, capsys):
+        assert main(["batch", "checksum", "--gc-bytes", "-1",
                      "--cache-dir", str(tmp_path / "cache")]) == 1
-        assert "--jobs must be >= 1" in capsys.readouterr().err
+        assert "--gc-bytes must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "cache").exists()
 
     def test_unwritable_cache_dir_rejected(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"

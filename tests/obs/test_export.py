@@ -120,10 +120,10 @@ class TestSubsystemLifting:
         assert dump_jsonl(load_jsonl(dump_jsonl(trace))) == dump_jsonl(trace)
 
     def test_batch_report_trace(self, tmp_path):
-        from repro.build import BatchJob, run_batch
+        from repro.build import ArtifactStore, BatchJob, run_batch
 
         report = run_batch([BatchJob("microwave", "sw-only", ())],
-                           jobs=1, cache_dir=str(tmp_path))
+                           ArtifactStore(tmp_path))
         trace = batch_report_trace(report)
         assert len(trace) == 1
         event = trace.events[0]
