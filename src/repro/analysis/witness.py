@@ -96,18 +96,11 @@ def scenarios_from_cases(cases) -> tuple[Scenario, ...]:
     outcome, which is exactly the separation a race needs removed.
     """
     scenarios: list[Scenario] = []
-    seen: set[tuple] = set()
 
     def add(name: str, steps: tuple, source: str) -> None:
-        key = tuple(
-            (type(s).__name__, getattr(s, "name", getattr(s, "class_key", "")),
-             getattr(s, "label", ""), str(sorted(getattr(s, "params", getattr(s, "attributes", {})).items())),
-             getattr(s, "delay_us", 0))
-            for s in steps
-        )
-        if key in seen:
+        # steps hold dicts, so compare by value rather than by hash
+        if any(scenario.steps == steps for scenario in scenarios):
             return
-        seen.add(key)
         scenarios.append(Scenario(name, steps, source))
 
     for case in cases:
@@ -564,15 +557,6 @@ class WitnessSearch:
                     },
                 )
         return None
-
-    def ever_consumed(self, class_key: str, label: str, state: str) -> bool:
-        """Did any explored run consume (class, label) from *state*?"""
-        for scenario in self.scenarios:
-            for record in self.records_for(scenario):
-                for entry, _ in record.consumed:
-                    if entry == (class_key, label, state):
-                        return True
-        return False
 
 
 def _render_fingerprint(fingerprint: tuple) -> dict:

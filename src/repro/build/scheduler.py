@@ -173,9 +173,7 @@ def run_batch(
                          elapsed_s=time.perf_counter() - start)
     registry = active_registry()
     if registry is not None:
-        wall = registry.histogram(
-            "build.job_wall_ms",
-            buckets=(1, 5, 10, 50, 100, 500, 1_000, 5_000))
+        wall = registry.histogram("build.job_wall_ms")
         for result in results:
             wall.observe(result.elapsed_s * 1_000)
         failed = len(report.failed)

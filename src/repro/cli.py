@@ -83,14 +83,9 @@ def cmd_check(args) -> int:
     for violation in violations:
         print(violation)
     print(f"{len(errors)} error(s), {len(warnings)} warning(s)")
-    from repro.exec import CORE_NAME, lowering_cache_stats
-    from repro.obs.metrics import active_registry
+    from repro.exec import CORE_NAME
 
     print(f"execution core: {CORE_NAME} (lowered action IR)")
-    if active_registry() is not None:
-        stats = lowering_cache_stats()
-        print(f"lowering cache: {stats['entries']} entrie(s), "
-              f"{stats['hits']} hit(s), {stats['misses']} miss(es)")
     if errors:
         return 1
     return 1 if warnings and args.strict_warnings else 0

@@ -80,9 +80,7 @@ class Bus:
             self._m_messages = registry.counter("cosim.bus.messages")
             self._m_bytes = registry.counter("cosim.bus.bytes_moved")
             self._m_busy_ns = registry.counter("cosim.bus.busy_ns")
-            self._m_wait = registry.histogram(
-                "cosim.bus.wait_ns",
-                buckets=(0, 100, 1_000, 10_000, 100_000, 1_000_000))
+            self._m_wait = registry.histogram("cosim.bus.wait_ns")
 
     @property
     def free_at(self) -> int:

@@ -133,18 +133,14 @@ class CoSimMachine(TargetMachine):
             self._m_service = None
             self._m_sent_ns: dict[int, int] | None = None
         else:
-            ns_buckets = (100, 1_000, 10_000, 100_000,
-                          1_000_000, 10_000_000, 100_000_000)
             self._m_routed = registry.counter("cosim.signals_routed")
             self._m_retransmissions = registry.counter("cosim.retransmissions")
             self._m_latency = {
-                side: registry.histogram(
-                    f"cosim.signal_latency_ns.{side}", buckets=ns_buckets)
+                side: registry.histogram(f"cosim.signal_latency_ns.{side}")
                 for side in ("sw", "hw")
             }
             self._m_service = {
-                side: registry.histogram(
-                    f"cosim.service_ns.{side}", buckets=ns_buckets)
+                side: registry.histogram(f"cosim.service_ns.{side}")
                 for side in ("sw", "hw")
             }
             self._m_sent_ns = {}
@@ -576,9 +572,6 @@ class CoSimMachine(TargetMachine):
         end = start + duration
         for emitted_signal, delay in emitted:
             self._route(emitted_signal, end + delay * US_TO_NS)
-
-    def _dispatch_creation(self, signal: SignalInstance) -> None:
-        super()._dispatch_creation(signal)
 
     # -- measurement helpers ------------------------------------------------------
 

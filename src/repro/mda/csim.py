@@ -12,16 +12,12 @@ from __future__ import annotations
 from repro.runtime.events import SignalInstance
 
 from .archrt import ArchError, TargetMachine
-from .manifest import ComponentManifest
 
 
 class CSoftwareMachine(TargetMachine):
     """Executes the software half the way the generated kernel does."""
 
     architecture = "c-single-task"
-
-    def __init__(self, manifest: ComponentManifest):
-        super().__init__(manifest)
 
     def _choose_source(self) -> int | None:
         """kernel_next(): global self queue first, then global FIFO."""

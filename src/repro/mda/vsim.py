@@ -65,12 +65,6 @@ class VHardwareMachine(TargetMachine):
         self.now += 1
         return len(signals)
 
-    def run_cycles(self, cycles: int) -> int:
-        consumed = 0
-        for _ in range(cycles):
-            consumed += self.tick()
-        return consumed
-
     def run_to_quiescence(self, max_cycles: int = 10_000_000) -> int:
         """Clock until no event is pending or scheduled.  Returns cycles."""
         cycles = 0

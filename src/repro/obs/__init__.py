@@ -24,7 +24,6 @@ from .export import (
     write_jsonl,
 )
 from .metrics import (
-    DEFAULT_BUCKETS,
     Counter,
     Gauge,
     Histogram,
@@ -40,7 +39,6 @@ __all__ = [
     "Counter",
     "CriticalPath",
     "CriticalStep",
-    "DEFAULT_BUCKETS",
     "Gauge",
     "Histogram",
     "MetricsError",

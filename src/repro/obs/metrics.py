@@ -1,4 +1,4 @@
-"""Metrics registry — counters, gauges and fixed-bucket histograms.
+"""Metrics registry — counters, gauges and sample histograms.
 
 One registry is the single source of measurement truth for the whole
 toolchain: the runtime scheduler (queue depth, dispatch wait), the
@@ -25,7 +25,7 @@ from contextlib import contextmanager
 
 
 class MetricsError(Exception):
-    """Bad metric name, bucket layout, or percentile fraction."""
+    """Bad metric name or percentile fraction."""
 
 
 def percentile_nearest_rank(values, fraction: float) -> float:
@@ -83,45 +83,22 @@ class Gauge:
         self._set = True
 
 
-#: Default histogram bucket upper bounds — wide enough for nanosecond
-#: latencies and small enough for queue depths; callers with a known
-#: range pass their own.
-DEFAULT_BUCKETS: tuple[int, ...] = (
-    1, 10, 100, 1_000, 10_000, 100_000, 1_000_000, 10_000_000,
-)
-
-
 class Histogram:
-    """Fixed-bucket distribution that also retains raw samples.
+    """A distribution kept as its raw samples.
 
-    The buckets give a cheap shape summary (``bucket_counts[i]`` counts
-    observations ``<= buckets[i]``, with one overflow bucket at the
-    end); the retained samples make :meth:`percentile` *exact* — the
+    Keeping every observation makes :meth:`percentile` *exact* — the
     shared ceil-based nearest-rank helper over real observations, not a
-    bucket-boundary approximation.
+    bucket-boundary approximation.  Memory grows with the sample count.
     """
 
-    __slots__ = ("name", "buckets", "bucket_counts", "_samples", "total")
+    __slots__ = ("name", "_samples", "total")
 
-    def __init__(self, name: str, buckets: tuple[int, ...] = DEFAULT_BUCKETS):
-        bounds = tuple(buckets)
-        if not bounds or list(bounds) != sorted(set(bounds)):
-            raise MetricsError(
-                f"histogram {name}: buckets must be strictly increasing, "
-                f"got {buckets!r}")
+    def __init__(self, name: str):
         self.name = name
-        self.buckets = bounds
-        self.bucket_counts = [0] * (len(bounds) + 1)
         self._samples: list[float] = []
         self.total = 0.0
 
     def observe(self, value: float) -> None:
-        index = 0
-        for bound in self.buckets:
-            if value <= bound:
-                break
-            index += 1
-        self.bucket_counts[index] += 1
         self._samples.append(value)
         self.total += value
 
@@ -144,11 +121,6 @@ class Histogram:
 
     def percentile(self, fraction: float) -> float:
         return percentile_nearest_rank(self._samples, fraction)
-
-    def bucket_table(self) -> tuple[tuple[float, int], ...]:
-        """(upper bound, count) pairs; the overflow bound is +inf."""
-        bounds = self.buckets + (float("inf"),)
-        return tuple(zip(bounds, self.bucket_counts))
 
 
 def _number(value: float):
@@ -191,12 +163,11 @@ class MetricsRegistry:
             metric = self._gauges[name] = Gauge(name)
         return metric
 
-    def histogram(self, name: str,
-                  buckets: tuple[int, ...] = DEFAULT_BUCKETS) -> Histogram:
+    def histogram(self, name: str) -> Histogram:
         metric = self._histograms.get(name)
         if metric is None:
             self._claim(name, self._histograms)
-            metric = self._histograms[name] = Histogram(name, buckets)
+            metric = self._histograms[name] = Histogram(name)
         return metric
 
     # -- introspection -------------------------------------------------------

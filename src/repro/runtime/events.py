@@ -191,9 +191,5 @@ class EventPool:
     def ready_count(self) -> int:
         return sum(len(q) for q in self._queues.values()) + len(self._creations)
 
-    @property
-    def delayed_count(self) -> int:
-        return len(self._delayed)
-
     def is_idle(self) -> bool:
         return self.ready_count == 0 and not self._delayed

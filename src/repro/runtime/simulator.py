@@ -119,11 +119,8 @@ class Simulation:
         else:
             self._metric_dispatches = registry.counter("runtime.dispatches")
             self._metric_queue_depth = registry.histogram(
-                "runtime.queue_depth",
-                buckets=(1, 2, 4, 8, 16, 32, 64, 128, 256))
-            self._metric_wait = registry.histogram(
-                "runtime.dispatch_wait_us",
-                buckets=(0, 1, 10, 100, 1_000, 10_000, 100_000, 1_000_000))
+                "runtime.queue_depth")
+            self._metric_wait = registry.histogram("runtime.dispatch_wait_us")
 
     # -- execution core ----------------------------------------------------------
 

@@ -36,6 +36,7 @@ from .targets import (
     CSimTarget,
     Target,
     VSimTarget,
+    standard_builds,
     standard_targets,
 )
 from .testcase import Failure, TestCase, TestResult
@@ -62,6 +63,7 @@ __all__ = [
     "default_hardware_for",
     "reliability_marks",
     "run_case",
+    "standard_builds",
     "standard_targets",
     "suite_for",
     "suite_from_dict",

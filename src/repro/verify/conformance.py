@@ -1,12 +1,13 @@
 """Conformance checking — one test suite, every platform.
 
 Experiment E3's engine: run each formal test case on the abstract model,
-the generated-C architecture and the generated-VHDL architecture (fresh
-platform instances per case), then compare (a) assertion outcomes and
-(b) per-instance behavioural summaries.  A model compiler that preserved
-the defined behaviour yields an all-PASS, all-equal matrix — "the model
-compiler ... may do [the sequencing] any manner it chooses so long as
-the defined behavior is preserved" (paper section 4).
+the generated-C architecture and the generated-VHDL architecture (each
+build compiled once, fresh platform instances per case), then compare
+(a) assertion outcomes and (b) per-instance behavioural summaries.  A
+model compiler that preserved the defined behaviour yields an all-PASS,
+all-equal matrix — "the model compiler ... may do [the sequencing] any
+manner it chooses so long as the defined behavior is preserved" (paper
+section 4).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 from repro.xuml.model import Model
 
 from .runner import run_case
-from .targets import standard_targets
+from .targets import standard_builds, standard_targets
 from .testcase import TestCase, TestResult
 
 
@@ -75,31 +76,24 @@ class ConformanceReport:
         return "\n".join(lines)
 
 
-def check_conformance(
-    model: Model, cases: list[TestCase], include_traces: bool = True,
-    store=None,
-) -> ConformanceReport:
+def check_conformance(model: Model,
+                      cases: list[TestCase]) -> ConformanceReport:
     """Run *cases* on all standard targets of *model*.
 
-    *store* (an :class:`repro.build.ArtifactStore`) makes the per-case
-    target rebuilds hit the artifact cache: the first case pays for the
-    compilation, the rest reuse it.
+    Both builds compile once; each case runs on fresh platform instances
+    over them, so no case sees state another case left behind.
     """
+    builds = standard_builds(model)
     report = ConformanceReport(model.name)
-    names: tuple[str, ...] = ()
     for case in cases:
-        # fresh platforms per case (cached artifacts when store given)
-        targets = standard_targets(model, store=store)
-        names = tuple(target.name for target in targets)
+        targets = standard_targets(model, *builds)
+        report.target_names = tuple(target.name for target in targets)
         conformance = CaseConformance(case.name)
-        summaries = []
         for target in targets:
             conformance.results.append(run_case(case, target))
-            if include_traces:
-                summaries.append(target.trace.behavioural_summary())
-        if include_traces and summaries:
-            first = summaries[0]
-            conformance.summaries_equal = all(s == first for s in summaries)
+        summaries = [target.trace.behavioural_summary()
+                     for target in targets]
+        conformance.summaries_equal = all(
+            summary == summaries[0] for summary in summaries)
         report.cases.append(conformance)
-    report.target_names = names
     return report

@@ -13,7 +13,6 @@ from __future__ import annotations
 from repro.cosim.config import CoSimConfig
 from repro.cosim.engine import US_TO_NS, CoSimMachine
 from repro.cosim.faults import FaultPlan
-from repro.marks.model import MarkSet
 from repro.marks.partition import marks_for_partition
 from repro.mda.compiler import Build, ModelCompiler
 from repro.mda.csim import CSoftwareMachine
@@ -99,66 +98,62 @@ class VSimTarget(Target):
     def __init__(self, build: Build, clock_mhz: int = 100):
         super().__init__(VHardwareMachine(build.manifest, clock_mhz))
 
-    def run_until(self, time_us: int):
-        return self._engine.run_until(time_us)
+
+#: Sim-time budget of one :meth:`CoSimTarget.run_to_quiescence` call.
+QUIESCENCE_BUDGET_US = 3_600 * 1_000_000
 
 
 class CoSimTarget(Target):
     """The timed co-simulation platform, optionally under fault injection.
 
     ``run_to_quiescence`` gives each run step a bounded *sim-time*
-    budget instead of running to true quiescence: a corrupted parameter
-    can legally ask for an absurdly long behaviour (a four-billion
-    second cook), and chaos runs must terminate anyway.  The budget is
-    generous enough that every fault-free suite finishes unchanged.
+    budget (:data:`QUIESCENCE_BUDGET_US`) instead of running to true
+    quiescence: a corrupted parameter can legally ask for an absurdly
+    long behaviour (a four-billion second cook), and chaos runs must
+    terminate anyway.  The budget is generous enough that every
+    fault-free suite finishes unchanged.
     """
 
     name = "cosim"
 
     def __init__(self, build: Build, config: CoSimConfig | None = None,
-                 fault_plan: FaultPlan | None = None,
-                 quiescence_budget_s: int = 3_600):
+                 fault_plan: FaultPlan | None = None):
         super().__init__(CoSimMachine(build, config, fault_plan))
-        self._budget_us = quiescence_budget_s * 1_000_000
         if fault_plan is not None:
             self.name = "cosim/faulted"
 
     def run_to_quiescence(self, max_steps: int = 1_000_000):
         machine = self._engine
-        horizon_us = machine.now // US_TO_NS + self._budget_us
+        horizon_us = machine.now // US_TO_NS + QUIESCENCE_BUDGET_US
         return machine.run(horizon_us=horizon_us, max_dispatches=max_steps)
 
     def run_until(self, time_us: int):
         return self._engine.run(horizon_us=time_us)
 
 
-def standard_targets(model: Model, marks: MarkSet | None = None,
-                     store=None) -> list[Target]:
-    """The three platforms every model is verified on (E3).
+def standard_builds(model: Model) -> tuple[Build, Build]:
+    """The all-software and the all-hardware build of *model* (E3).
 
-    The C target compiles the model all-software, the VHDL target
-    all-hardware — each architecture then executes *every* class, which
-    is the strongest conformance statement a single target can make.
-
-    With *store* (an :class:`repro.build.ArtifactStore`) the builds come
-    from the incremental compiler, so suites that rebuild targets per
-    case reuse cached artifacts instead of recompiling from scratch.
+    Each architecture then executes *every* class, which is the
+    strongest conformance statement a single target can make.
     """
     component = model.components[0]
-    if marks is None:
-        sw_marks = marks_for_partition(component, ())
-        hw_marks = marks_for_partition(
-            component, tuple(component.class_keys))
-    else:
-        sw_marks = hw_marks = marks
-    if store is None:
-        compiler = ModelCompiler(model)
-    else:
-        from repro.build import IncrementalCompiler
+    compiler = ModelCompiler(model)
+    return (
+        compiler.compile(marks_for_partition(component, ())),
+        compiler.compile(
+            marks_for_partition(component, tuple(component.class_keys))),
+    )
 
-        compiler = IncrementalCompiler(model, store=store)
-    sw_build = compiler.compile(sw_marks)
-    hw_build = compiler.compile(hw_marks)
+
+def standard_targets(model: Model, sw_build: Build,
+                     hw_build: Build) -> list[Target]:
+    """Fresh instances of the three platforms every model is verified on.
+
+    The C target runs *sw_build* and the VHDL target *hw_build*, as
+    :func:`standard_builds` returns them.  Builds are read-only, so one
+    pair serves any number of cases.
+    """
     return [
         AbstractTarget(model),
         CSimTarget(sw_build),

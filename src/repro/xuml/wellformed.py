@@ -23,9 +23,7 @@ from .model import Model
 __all__ = ["Severity", "Violation", "check_model"]
 
 
-def check_model(
-    model: Model, strict: bool = False, check_actions: bool = True
-) -> list[Violation]:
+def check_model(model: Model, strict: bool = False) -> list[Violation]:
     """Run every well-formedness rule over *model*.
 
     Returns the full list of violations; with ``strict=True`` raises
@@ -34,8 +32,7 @@ def check_model(
     violations: list[Violation] = []
     for component in model.components:
         _check_component(component, violations)
-    if check_actions:
-        _check_actions(model, violations)
+    _check_actions(model, violations)
 
     if strict:
         errors = [v for v in violations if v.severity is Severity.ERROR]

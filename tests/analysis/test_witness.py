@@ -21,7 +21,14 @@ from repro.models.catalog import CATALOG
 from repro.runtime import EventPool, SignalInstance
 from repro.runtime.scheduler import InterleavedScheduler, SynchronousScheduler
 from repro.verify import suite_for
-from repro.verify.testcase import ExpectState, InjectStep, RunStep
+from repro.verify.testcase import (
+    CreateStep,
+    ExpectState,
+    InjectStep,
+    RelateStep,
+    RunStep,
+    TestCase,
+)
 
 
 @pytest.fixture(scope="module")
@@ -75,6 +82,22 @@ class TestScenarioDistillation:
         once = scenarios_from_cases(cases)
         twice = scenarios_from_cases(list(cases) + list(cases))
         assert [s.name for s in once] == [s.name for s in twice]
+
+    def test_distillation_keeps_cases_that_differ_in_setup(self):
+        # same stimulus, but a different instance related or class created
+        def case(name, first_class, partner):
+            return TestCase(name, steps=[
+                CreateStep("a", first_class),
+                CreateStep("b", "B"),
+                CreateStep("c", "B"),
+                RelateStep("a", partner, "R1"),
+                InjectStep("a", "E1"),
+            ])
+
+        cases = [case("relate-b", "A", "b"), case("relate-c", "A", "c"),
+                 case("create-other", "Z", "b")]
+        assert [s.name for s in scenarios_from_cases(cases)] == [
+            "relate-b", "relate-c", "create-other"]
 
     def test_stimuli_map(self, microwave_scenarios):
         stimuli = stimuli_from_scenarios(microwave_scenarios)

@@ -131,14 +131,23 @@ class TestStrictReuse:
 class TestCachedBuildsBehave:
     def test_cached_build_drives_the_simulators(self, tmp_path):
         """A cache-served Build is a real Build: targets execute it."""
-        from repro.verify import check_conformance, suite_for
+        from repro.verify import run_case, standard_targets, suite_for
 
         store = ArtifactStore(tmp_path)
         model = build_model("checksum")
-        warmup = check_conformance(model, suite_for("checksum"),
-                                   store=store)
-        assert warmup.conformant, warmup.render()
-        cached = check_conformance(model, suite_for("checksum"),
-                                   store=store)
-        assert cached.conformant, cached.render()
-        assert store.stats.hits > 0
+        component = model.components[0]
+        both_builds = (
+            marks_for_partition(component, ()),
+            marks_for_partition(component, tuple(component.class_keys)),
+        )
+        for marks in both_builds:
+            IncrementalCompiler(model, store=store).compile(marks)
+        clear_manifest_memo()
+        compiler = IncrementalCompiler(model, store=store)
+        builds = []
+        for marks in both_builds:
+            builds.append(compiler.compile(marks))
+            assert compiler.last_stats.classes_compiled == 0
+        for case in suite_for("checksum"):
+            for target in standard_targets(model, *builds):
+                assert run_case(case, target).passed, (case.name, target.name)

@@ -22,7 +22,7 @@ from pathlib import Path
 from repro.models import build_model
 from repro.models.catalog import CATALOG
 from repro.obs import dump_jsonl
-from repro.verify import run_case, standard_targets, suite_for
+from repro.verify import run_case, standard_builds, standard_targets, suite_for
 
 GOLDEN_PATH = Path(__file__).with_name("golden_exec.json")
 
@@ -32,7 +32,8 @@ def measure_catalog() -> dict[str, dict[str, int | str]]:
     measured = {}
     for entry in CATALOG:
         for case in suite_for(entry.name):
-            for target in standard_targets(build_model(entry.name)):
+            model = build_model(entry.name)
+            for target in standard_targets(model, *standard_builds(model)):
                 run_case(case, target)
                 trace = dump_jsonl(target.trace).encode()
                 measured[f"{entry.name}/{case.name}/{target.name}"] = {

@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.models import build_microwave_model
+from repro.mda import ModelCompiler
+from repro.models import build_microwave_model, build_model
+from repro.models.catalog import CATALOG
 from repro.verify import (
     AbstractTarget,
     CSimTarget,
@@ -10,6 +12,7 @@ from repro.verify import (
     VSimTarget,
     check_conformance,
     run_case,
+    standard_builds,
     standard_targets,
     suite_for,
 )
@@ -88,12 +91,12 @@ class TestRunner:
 
 class TestTargets:
     def test_standard_targets_cover_three_platforms(self, model):
-        targets = standard_targets(model)
+        targets = standard_targets(model, *standard_builds(model))
         names = [t.name for t in targets]
         assert names == ["abstract-model", "generated-c", "generated-vhdl"]
 
     def test_same_case_passes_everywhere(self, model):
-        for target in standard_targets(model):
+        for target in standard_targets(model, *standard_builds(model)):
             assert run_case(cook_case(), target).passed, target.name
 
     def test_csim_target_wraps_software_machine(self, model):
@@ -137,6 +140,36 @@ class TestConformanceReport:
         report = check_conformance(model, [bad])
         assert not report.conformant
         assert report.pass_rate() == 0.0
+
+    def test_full_suite_compiles_each_build_once(self, model, monkeypatch):
+        compiles = []
+        original = ModelCompiler.compile
+
+        def counting(compiler, marks):
+            compiles.append(marks)
+            return original(compiler, marks)
+
+        monkeypatch.setattr(ModelCompiler, "compile", counting)
+        suite = suite_for("microwave")
+        assert len(suite) == 6
+        assert check_conformance(model, suite).conformant
+        assert len(compiles) == 2
+
+    @pytest.mark.parametrize("name", [entry.name for entry in CATALOG])
+    def test_shared_builds_match_a_fresh_compile_per_case(self, name):
+        def outcome(case):
+            return ([result.passed for result in case.results],
+                    [result.error for result in case.results],
+                    [len(result.failures) for result in case.results],
+                    case.summaries_equal)
+
+        suite = suite_for(name)
+        shared = check_conformance(build_model(name), suite)
+        assert [case.case_name for case in shared.cases] == \
+            [case.name for case in suite]
+        for case, result in zip(suite, shared.cases):
+            fresh = check_conformance(build_model(name), [case])
+            assert outcome(result) == outcome(fresh.cases[0]), case.name
 
     def test_all_catalog_suites_exist(self):
         for name in ("microwave", "trafficlight", "packetproc",

@@ -186,12 +186,3 @@ class TestActionRules:
         with pytest.raises(WellFormednessError) as excinfo:
             check_model(model, strict=True)
         assert len(excinfo.value.violations) >= 2
-
-    def test_actions_check_can_be_skipped(self):
-        builder, component = base_builder()
-        klass = component.klass("Widget", "W")
-        klass.event("W1")
-        klass.state("A", 1, activity="nonsense")
-        klass.trans("A", "W1", "A")
-        model = builder.build(check=False)
-        assert check_model(model, check_actions=False) == []
